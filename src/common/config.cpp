@@ -1,7 +1,9 @@
 #include "common/config.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdlib>
+#include <cstring>
 #include <string>
 
 namespace imap {
@@ -12,6 +14,16 @@ double env_double(const char* name, double fallback) {
   char* end = nullptr;
   const double parsed = std::strtod(v, &end);
   if (end == v) return fallback;
+  return parsed;
+}
+
+int env_positive_int(const char* name, int fallback) {
+  const char* v = std::getenv(name);
+  if (!v || !*v) return fallback;
+  const char* end = v + std::strlen(v);
+  int parsed = 0;
+  const auto res = std::from_chars(v, end, parsed);
+  if (res.ec != std::errc() || res.ptr != end || parsed < 1) return fallback;
   return parsed;
 }
 

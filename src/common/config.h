@@ -33,6 +33,11 @@ struct BenchConfig {
 /// Read a double env var with default.
 double env_double(const char* name, double fallback);
 
+/// Read a positive int env var: the whole value must be a base-10 integer in
+/// [1, INT_MAX]; anything else (unset, empty, trailing garbage, zero,
+/// negative, out of range) yields `fallback`.
+int env_positive_int(const char* name, int fallback);
+
 /// Read a string env var with default.
 std::string env_string(const char* name, const std::string& fallback);
 

@@ -18,6 +18,7 @@
 #include <set>
 
 #include "common/check.h"
+#include "common/config.h"
 #include "common/thread_pool.h"
 
 namespace imap::proc {
@@ -97,14 +98,7 @@ std::uint64_t decode_u64le(const std::array<std::uint8_t, 8>& in) {
 
 }  // namespace
 
-int configured_procs() {
-  const char* v = std::getenv("IMAP_PROCS");
-  if (!v || !*v) return 1;
-  char* end = nullptr;
-  const long parsed = std::strtol(v, &end, 10);
-  if (end == v || parsed < 1) return 1;
-  return static_cast<int>(parsed);
-}
+int configured_procs() { return env_positive_int("IMAP_PROCS", 1); }
 
 Channel::Channel(int read_fd, int write_fd) : rfd_(read_fd), wfd_(write_fd) {
   ignore_sigpipe_once();

@@ -12,8 +12,9 @@
 
 namespace imap::proc {
 
-/// Fabric process count requested via the IMAP_PROCS environment variable
-/// (>= 1; unset/invalid falls back to 1, the in-process path).
+/// Worker-process count for DAG-scheduled grids and /attack/train jobs,
+/// read from the IMAP_PROCS environment variable (a whole base-10 integer
+/// in [1, INT_MAX]; unset or invalid falls back to 1, the inline path).
 int configured_procs();
 
 /// One bidirectional pipe-pair endpoint of a coordinator <-> worker link.

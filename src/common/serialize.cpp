@@ -108,10 +108,6 @@ void BinaryWriter::write_vec(const std::vector<double>& v) {
   buf_.insert(buf_.end(), p, p + v.size() * sizeof(double));
 }
 
-void BinaryWriter::append_raw(const std::uint8_t* p, std::size_t n) {
-  append_bytes(buf_, p, n);
-}
-
 bool BinaryWriter::save(const std::string& path) const {
   ArchiveWriter archive;
   archive.section("data") = *this;
@@ -171,7 +167,9 @@ std::vector<double> BinaryReader::read_vec() {
   const auto n = read_u64();
   need(n * sizeof(double));
   std::vector<double> v(n);
-  std::memcpy(v.data(), buf_.data() + pos_, n * sizeof(double));
+  // An empty vector's data() may be null, and memcpy from/to null is
+  // undefined even for zero bytes.
+  if (n != 0) std::memcpy(v.data(), buf_.data() + pos_, n * sizeof(double));
   pos_ += n * sizeof(double);
   return v;
 }

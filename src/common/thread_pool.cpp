@@ -1,9 +1,10 @@
 #include "common/thread_pool.h"
 
 #include <chrono>
-#include <cstdlib>
 #include <exception>
 #include <memory>
+
+#include "common/config.h"
 
 namespace imap {
 
@@ -104,12 +105,8 @@ void ThreadPool::worker_loop(std::size_t self) {
 }
 
 std::size_t ThreadPool::configured_threads() {
-  const char* v = std::getenv("IMAP_THREADS");
-  if (v && *v) {
-    char* end = nullptr;
-    const long parsed = std::strtol(v, &end, 10);
-    if (end != v && parsed > 0) return static_cast<std::size_t>(parsed);
-  }
+  if (const int n = env_positive_int("IMAP_THREADS", 0); n > 0)
+    return static_cast<std::size_t>(n);
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<std::size_t>(hw);
 }

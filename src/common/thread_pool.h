@@ -50,8 +50,9 @@ class ThreadPool {
   /// Process-wide pool, created on first use with `configured_threads()`.
   static ThreadPool& global();
 
-  /// Thread count requested via the IMAP_THREADS environment variable;
-  /// falls back to std::thread::hardware_concurrency() when unset.
+  /// Thread count requested via the IMAP_THREADS environment variable (a
+  /// whole base-10 integer in [1, INT_MAX]); falls back to
+  /// std::thread::hardware_concurrency() when unset or invalid.
   static std::size_t configured_threads();
 
  private:

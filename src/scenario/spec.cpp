@@ -325,8 +325,13 @@ std::vector<ScenarioSpec> expand(const std::string& pattern) {
       IMAP_CHECK_MSG(lo >= 0 && hi >= lo && hi - lo < 4096,
                      "scenario: bad seed range '@" << tail << "'");
       seed_suffixes.clear();
-      for (long long v = lo; v <= hi; ++v)
-        seed_suffixes.push_back("@" + std::to_string(v));
+      for (long long v = lo; v <= hi; ++v) {
+        // Appending in place, not "@" + to_string(v): g++ 12 -O3 reports a
+        // false -Wrestrict overlap on the operator+ form, failing -Werror.
+        std::string suffix = "@";
+        suffix += std::to_string(v);
+        seed_suffixes.push_back(std::move(suffix));
+      }
     }
   }
 

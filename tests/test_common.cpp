@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
+#include <string>
 
 #include "common/check.h"
 #include "common/config.h"
@@ -9,6 +11,7 @@
 #include "common/serialize.h"
 #include "common/stats.h"
 #include "common/table.h"
+#include "common/thread_pool.h"
 
 namespace imap {
 namespace {
@@ -177,6 +180,29 @@ TEST(Config, EnvParsing) {
   ::setenv("IMAP_TEST_JUNK", "abc", 1);
   EXPECT_DOUBLE_EQ(env_double("IMAP_TEST_JUNK", 4.0), 4.0);
   EXPECT_EQ(env_string("IMAP_TEST_MISSING", "dflt"), "dflt");
+}
+
+TEST(Config, ThreadsKnobRequiresWholeIntInRange) {
+  const char* prev = std::getenv("IMAP_THREADS");
+  const std::string saved = prev ? prev : "";
+  ::unsetenv("IMAP_THREADS");
+  const std::size_t fallback = ThreadPool::configured_threads();
+  EXPECT_GE(fallback, 1u);
+
+  ::setenv("IMAP_THREADS", "3", 1);
+  EXPECT_EQ(ThreadPool::configured_threads(), 3u);
+  // Trailing garbage, out-of-int values and non-positive counts all fall
+  // back to the hardware default instead of being truncated or narrowed.
+  for (const char* bad : {"3abc", "6442450943", "99999999999999999999",
+                          "0", "-4", "bogus", " 3"}) {
+    ::setenv("IMAP_THREADS", bad, 1);
+    EXPECT_EQ(ThreadPool::configured_threads(), fallback) << bad;
+  }
+
+  if (prev)
+    ::setenv("IMAP_THREADS", saved.c_str(), 1);
+  else
+    ::unsetenv("IMAP_THREADS");
 }
 
 }  // namespace

@@ -4,13 +4,16 @@
 //    exactly, not approximately (the determinism contract in DESIGN.md);
 //  * finite-difference correctness of the batched backward;
 //  * the zero-allocation guarantee of the Workspace arena in steady state;
-//  * end-to-end: a batched PPO update is bit-identical to a per-sample one.
+//  * end-to-end: the batched PPO update reproduces the recorded trace of the
+//    per-sample reference update bit for bit.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <new>
 #include <vector>
 
@@ -309,31 +312,56 @@ TEST(MlpBatch, SteadyStateForwardBackwardAllocatesNothing) {
 namespace imap::rl {
 namespace {
 
-// End-to-end contract: with identical seeds and options, a trainer running
-// the batched update and one running the per-sample update produce
-// bit-identical parameters and statistics.
+// FNV-1a over the exact bytes of a parameter vector: equal digests mean
+// bit-identical parameters.
+std::uint64_t param_digest(const std::vector<double>& v) {
+  std::uint64_t h = 1469598103934665603ULL;
+  for (const double d : v) {
+    unsigned char bytes[sizeof(double)];
+    std::memcpy(bytes, &d, sizeof(double));
+    for (const unsigned char b : bytes) {
+      h ^= b;
+      h *= 1099511628211ULL;
+    }
+  }
+  return h;
+}
+
+// End-to-end contract: the batched PPO update reproduces, bit for bit, the
+// trace of the per-sample reference update (one autodiff tape per sample)
+// that it replaced. The expected values were recorded from the per-sample
+// path while both paths still existed and were proven identical; since the
+// kernel backends are bit-identical (test_kernel_matrix), one recording
+// covers every backend.
 TEST(PpoBatchedUpdate, BitIdenticalToPerSample) {
   auto env = env::make_env("Hopper");
   PpoOptions opts;
   opts.steps_per_iter = 256;
   opts.epochs = 2;
   opts.minibatch = 64;
-
-  opts.batched_update = false;
-  PpoTrainer per_sample(*env, opts, Rng(7));
-  opts.batched_update = true;
   PpoTrainer batched(*env, opts, Rng(7));
 
+  struct Expected {
+    double policy_loss, value_loss, approx_kl, mean_return;
+  };
+  const Expected expected[] = {
+      {-0x1.9e8bf30163c58p-9, 0x1.789143ccccfb8p+6, 0x1.1a444afdfce56p-9,
+       0x1.f059ac8773d15p+5},
+      {-0x1.59d86de5a0d8p-9, 0x1.4138b0d9d3dc3p+7, 0x1.31489037bad38p-11,
+       0x1.3a493ea533f49p+6}};
   for (int it = 0; it < 2; ++it) {
-    const IterStats a = per_sample.iterate();
     const IterStats b = batched.iterate();
-    EXPECT_EQ(a.policy_loss, b.policy_loss) << "iter " << it;
-    EXPECT_EQ(a.value_loss, b.value_loss) << "iter " << it;
-    EXPECT_EQ(a.approx_kl, b.approx_kl) << "iter " << it;
-    EXPECT_EQ(a.mean_return, b.mean_return) << "iter " << it;
+    EXPECT_EQ(b.policy_loss, expected[it].policy_loss) << "iter " << it;
+    EXPECT_EQ(b.value_loss, expected[it].value_loss) << "iter " << it;
+    EXPECT_EQ(b.approx_kl, expected[it].approx_kl) << "iter " << it;
+    EXPECT_EQ(b.mean_return, expected[it].mean_return) << "iter " << it;
   }
-  EXPECT_EQ(per_sample.policy().flat_params(), batched.policy().flat_params());
-  EXPECT_EQ(per_sample.value_e().params(), batched.value_e().params());
+  const auto pol = batched.policy().flat_params();
+  const auto val = batched.value_e().params();
+  ASSERT_EQ(pol.size(), 1542u);
+  ASSERT_EQ(val.size(), 1473u);
+  EXPECT_EQ(param_digest(pol), 0x6fe79dc0400495e9ULL);
+  EXPECT_EQ(param_digest(val), 0x59b96cfbd2167b1bULL);
 }
 
 // Same contract with gradient sharding on top: the batched kernels compose
@@ -345,16 +373,50 @@ TEST(PpoBatchedUpdate, BitIdenticalToPerSampleWithShards) {
   opts.epochs = 1;
   opts.minibatch = 64;
   opts.grad_shards = 4;
-
-  opts.batched_update = false;
-  PpoTrainer per_sample(*env, opts, Rng(9));
-  opts.batched_update = true;
   PpoTrainer batched(*env, opts, Rng(9));
 
-  per_sample.iterate();
-  batched.iterate();
-  EXPECT_EQ(per_sample.policy().flat_params(), batched.policy().flat_params());
-  EXPECT_EQ(per_sample.value_e().params(), batched.value_e().params());
+  const IterStats b = batched.iterate();
+  EXPECT_EQ(b.policy_loss, 0x1.69a9052fe4cp-14);
+  EXPECT_EQ(b.value_loss, 0x1.24261b7f4cf1cp+7);
+  EXPECT_EQ(b.approx_kl, -0x1.bdd0c58aba278p-11);
+  const auto pol = batched.policy().flat_params();
+  const auto val = batched.value_e().params();
+  ASSERT_EQ(pol.size(), 1542u);
+  ASSERT_EQ(val.size(), 1473u);
+  EXPECT_EQ(param_digest(pol), 0x69655f23c4a424d7ULL);
+  EXPECT_EQ(param_digest(val), 0x881586f31db24222ULL);
+}
+
+// The intrinsic channel (Eq. 14) on top, with a step size and epoch count
+// that drive ratios past both clip bounds: pins the intrinsic critic's
+// batched refresh and regression as well.
+TEST(PpoBatchedUpdate, BitIdenticalToPerSampleWithIntrinsic) {
+  auto env = env::make_env("Hopper");
+  PpoOptions opts;
+  opts.steps_per_iter = 256;
+  opts.epochs = 4;
+  opts.minibatch = 32;
+  opts.lr = 3e-3;
+  opts.target_kl = 0.0;
+  PpoTrainer batched(*env, opts, Rng(11));
+  batched.set_intrinsic_hook([](RolloutBuffer& buf) {
+    for (std::size_t i = 0; i < buf.size(); ++i)
+      buf.rew_i[i] = 0.1 * buf.obs[i][0];
+    return 0.5;
+  });
+
+  const IterStats first = batched.iterate();
+  EXPECT_EQ(first.policy_loss, -0x1.cd6013a509346p-6);
+  EXPECT_EQ(first.value_loss, 0x1.7501154b9e412p+6);
+  EXPECT_EQ(first.approx_kl, 0x1.11a3b8baefa85p-5);
+  const IterStats second = batched.iterate();
+  EXPECT_EQ(second.policy_loss, -0x1.d7acfd38b7eb8p-6);
+  EXPECT_EQ(second.value_loss, 0x1.8deb96f304071p+6);
+  EXPECT_EQ(second.approx_kl, 0x1.f95069fba29a8p-5);
+  EXPECT_EQ(param_digest(batched.policy().flat_params()),
+            0x67c51210b14bb937ULL);
+  EXPECT_EQ(param_digest(batched.value_e().params()), 0x656228ca44b94afdULL);
+  EXPECT_EQ(param_digest(batched.value_i().params()), 0x2f7e0c77da6a544bULL);
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // The determinism contract of the vectorized rollout engine: the lockstep
 // batched collection (one policy/value/victim forward per tick) fills
 // buffers bit-identical to E independent serial collections, for any E, any
-// thread count and any (workers × slots) factorization of the total.
+// thread count and any (workers × slots) factorization of the total —
+// including randomized scenarios and the opponent game.
 
 #include <gtest/gtest.h>
 
@@ -14,11 +15,14 @@
 
 #include "attack/threat_model.h"
 #include "common/thread_pool.h"
+#include "env/multiagent.h"
 #include "env/registry.h"
 #include "nn/gaussian.h"
 #include "rl/normalizer.h"
 #include "rl/ppo.h"
 #include "rl/vec_env.h"
+#include "scenario/scenario_env.h"
+#include "scenario/spec.h"
 
 namespace imap {
 namespace {
@@ -170,14 +174,19 @@ TEST(VecEnv, BatchedVictimPathMatchesSerialOnOpponentGame) {
   expect_vectorized_matches_serial(proto, 8, 80);
 }
 
-std::vector<rl::IterStats> run_trainer(const rl::PpoOptions& opts, int iters,
+std::vector<rl::IterStats> run_trainer(const rl::Env& proto,
+                                       const rl::PpoOptions& opts, int iters,
                                        std::vector<double>& final_params) {
-  auto env = env::make_env("Hopper");
-  rl::PpoTrainer trainer(*env, opts, Rng(7));
+  rl::PpoTrainer trainer(proto, opts, Rng(7));
   std::vector<rl::IterStats> out;
   for (int i = 0; i < iters; ++i) out.push_back(trainer.iterate());
   final_params = trainer.policy().flat_params();
   return out;
+}
+
+std::vector<rl::IterStats> run_trainer(const rl::PpoOptions& opts, int iters,
+                                       std::vector<double>& final_params) {
+  return run_trainer(*env::make_env("Hopper"), opts, iters, final_params);
 }
 
 void expect_identical(const std::vector<rl::IterStats>& a,
@@ -235,23 +244,48 @@ TEST(VecEnv, TrainerTraceInvariantAcrossWorkerSlotFactorizations) {
     expect_identical(stats[0], stats[i]);
     EXPECT_EQ(params[0], params[i]);
   }
-}
 
-TEST(VecEnv, VectorizedFlagIsBitIdentical) {
-  // vectorized_rollout is purely a throughput knob: the lockstep engine and
-  // the per-sample reference loop must train identically.
-  rl::PpoOptions fast, slow;
-  fast.steps_per_iter = slow.steps_per_iter = 256;
-  fast.num_workers = slow.num_workers = 1;
-  fast.envs_per_worker = slow.envs_per_worker = 4;
-  fast.vectorized_rollout = true;
-  slow.vectorized_rollout = false;
+  // 8 global slots as 4×2 vs 2×4 on the two MDPs whose steps draw the most
+  // from the slot Rng: a procedurally randomized scenario (seeded DR,
+  // stochastic channels, budget) and the two-player opponent game.
+  const auto spec = scenario::parse(
+      "hopper+obs_perturb:0.075+obs_delay:2+obs_dropout:0.2+obs_noise:0.05"
+      "+budget:0.5+dr[gain:0.9..1.1,mass:0.8..1.2]@7");
+  const auto inner = env::make_env(spec.env);
+  Rng scenario_rng(11);
+  nn::GaussianPolicy scenario_victim(inner->obs_dim(), inner->act_dim(),
+                                     {16, 16}, scenario_rng);
+  const auto scenario_env = scenario::make_scenario_env(
+      spec, rl::PolicyHandle::snapshot(scenario_victim),
+      attack::RewardMode::Adversary);
 
-  std::vector<double> fast_params, slow_params;
-  const auto fast_stats = run_trainer(fast, 2, fast_params);
-  const auto slow_stats = run_trainer(slow, 2, slow_params);
-  expect_identical(fast_stats, slow_stats);
-  EXPECT_EQ(fast_params, slow_params);
+  const auto game = env::make_multiagent_env("YouShallNotPass");
+  Rng game_rng(11);
+  nn::GaussianPolicy game_victim(game->victim_obs_dim(),
+                                 game->victim_act_dim(), {16, 16}, game_rng);
+  const attack::OpponentEnv opponent_env(
+      *game, rl::PolicyHandle::snapshot(game_victim));
+
+  const std::vector<std::pair<std::string, const rl::Env*>> protos{
+      {"randomized scenario", scenario_env.get()},
+      {"opponent game", &opponent_env}};
+  for (const auto& [name, proto] : protos) {
+    SCOPED_TRACE(name);
+    rl::PpoOptions opts;
+    opts.hidden = {16, 16};
+    opts.steps_per_iter = 256;
+    opts.minibatch = 64;
+    opts.epochs = 2;
+    std::vector<double> p42, p24;
+    opts.num_workers = 4;
+    opts.envs_per_worker = 2;
+    const auto s42 = run_trainer(*proto, opts, 2, p42);
+    opts.num_workers = 2;
+    opts.envs_per_worker = 4;
+    const auto s24 = run_trainer(*proto, opts, 2, p24);
+    expect_identical(s42, s24);
+    EXPECT_EQ(p42, p24);
+  }
 }
 
 TEST(VecNormalizer, SingleRowBatchUpdateIsBitwiseEqual) {

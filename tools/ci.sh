@@ -89,8 +89,8 @@ IMAP_BENCH_NO_PROBE=1 "${BUILD_DIR}/bench/bench_micro_ppo" \
 IMAP_BENCH_NO_PROBE=1 "${BUILD_DIR}/bench/bench_micro_infer" \
   --benchmark_min_time=0.01 \
   --benchmark_filter='BM_VictimQueryBatch' || exit 1
-# Fabric scaling probe at smoke scale: runs the 1-vs-N process collect and
-# grid probes, asserting trace identity. Runs from the build dir so the
+# Fabric scaling probe at smoke scale: runs the 1-vs-N process DAG grid
+# probe, asserting trace identity. Runs from the build dir so the
 # tracked repo-root BENCH_fabric.json (regenerated manually at full scale,
 # see README "Benchmarks") is not clobbered by smoke-scale numbers.
 ( cd "${BUILD_DIR}" && IMAP_BENCH_SCALE=0.001 ./bench/bench_fabric ) || exit 1
