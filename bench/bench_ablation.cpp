@@ -80,8 +80,10 @@ int main() {
   jobs.emplace_back(
       "B/relaxed-SA-RL",
       [&, env = std::shared_ptr<rl::Env>(deploy_env->clone()), job_rng = rng.split(1)]() mutable {
-        attack::SaRl relaxed(*env, victim, eps, {}, job_rng,
-                             /*relaxed=*/true);
+        attack::SaRl relaxed(
+            attack::StatePerturbationEnv(*env, victim, eps,
+                                         attack::RewardMode::AdversaryRelaxed),
+            {}, job_rng);
         relaxed.train(steps);
         Rng er(17);
         relaxed_eval = attack::evaluate_attack(*env, victim,

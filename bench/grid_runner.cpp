@@ -81,13 +81,8 @@ std::vector<core::AttackOutcome> GridRunner::run_plans(
     std::map<std::string, std::size_t> seen;
     for (std::size_t i = 0; i < plans.size(); ++i) {
       const auto& p = plans[i];
-      const long long steps = p.attack_steps
-                                  ? p.attack_steps
-                                  : runner_.default_attack_steps(p.env_name);
-      const int eps = p.eval_episodes
-                          ? p.eval_episodes
-                          : runner_.default_eval_episodes(p.env_name);
-      const auto key = runner_.cache_key(p, steps, eps);
+      const auto b = runner_.budgets(p);
+      const auto key = runner_.cache_key(p, b.steps, b.episodes);
       const auto [it, inserted] = seen.emplace(key, unique_cells.size());
       if (inserted) unique_cells.push_back(i);
       unique_of[i] = it->second;

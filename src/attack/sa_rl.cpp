@@ -2,26 +2,14 @@
 
 namespace imap::attack {
 
+PpoAdversary::PpoAdversary(const rl::Env& attack_env, rl::PpoOptions ppo,
+                           Rng rng)
+    : trainer_(std::make_unique<rl::PpoTrainer>(attack_env, ppo, rng)) {}
+
 SaRl::SaRl(const rl::Env& deploy_env, rl::PolicyHandle victim, double eps,
-           rl::PpoOptions ppo, Rng rng, bool relaxed) {
-  StatePerturbationEnv attack_env(
-      deploy_env, std::move(victim), eps,
-      relaxed ? RewardMode::AdversaryRelaxed : RewardMode::Adversary);
-  trainer_ = std::make_unique<rl::PpoTrainer>(attack_env, ppo, rng);
-}
-
-SaRl::SaRl(const rl::Env& attack_env, rl::PpoOptions ppo, Rng rng) {
-  trainer_ = std::make_unique<rl::PpoTrainer>(attack_env, ppo, rng);
-}
-
-rl::ActionFn SaRl::adversary() const {
-  // Snapshot the current policy parameters so the returned adversary is a
-  // frozen deployment artifact (training can continue independently).
-  auto snapshot =
-      std::make_shared<nn::GaussianPolicy>(trainer_->policy());
-  return [snapshot](const std::vector<double>& obs) {
-    return snapshot->mean_action(obs);
-  };
-}
+           rl::PpoOptions ppo, Rng rng)
+    : PpoAdversary(StatePerturbationEnv(deploy_env, std::move(victim), eps,
+                                        RewardMode::Adversary),
+                   ppo, rng) {}
 
 }  // namespace imap::attack

@@ -7,41 +7,28 @@
 
 namespace imap::attack {
 
-/// SA-RL (Zhang et al.): the optimal black-box state adversary learned by
-/// plain PPO in the SA-MDP. This is the paper's single-agent baseline.
-///
-/// The original SA-RL trains on the victim's training-time reward r_E^ν —
-/// a relaxation of the black-box model. As in the paper's experiments
-/// (Sec. 6.2), our implementation uses the same surrogate −r̂_E^ν as IMAP so
-/// the comparison is apples-to-apples; exploration is PPO's Gaussian
+/// Plain PPO on a prebuilt attack-view env — the body both PPO baselines
+/// share. The env must already report the adversary's reward (e.g. a
+/// scenario::ScenarioEnv in RewardMode::Adversary, or an OpponentEnv); the
+/// Rng goes straight to the PPO trainer. Exploration is PPO's Gaussian
 /// dithering and nothing else.
-class SaRl {
+class PpoAdversary {
  public:
-  /// `relaxed` reproduces the ORIGINAL SA-RL threat model that trains on the
-  /// victim's true (negated) training reward instead of the black-box
-  /// surrogate — used only by the ablation bench. Network-backed victim
-  /// handles additionally let the vectorized rollout engine batch the
-  /// victim queries (rl::PolicyHandle converts implicitly from ActionFn).
-  SaRl(const rl::Env& deploy_env, rl::PolicyHandle victim, double eps,
-       rl::PpoOptions ppo, Rng rng, bool relaxed = false);
-
-  /// Train against a pre-built attack-view env (e.g. a scenario::ScenarioEnv
-  /// in Adversary mode). The env must already negate the victim's surrogate
-  /// into the adversary's reward; the Rng goes straight to the PPO trainer,
-  /// exactly as with the classic ctor above.
-  SaRl(const rl::Env& attack_env, rl::PpoOptions ppo, Rng rng);
+  PpoAdversary(const rl::Env& attack_env, rl::PpoOptions ppo, Rng rng);
 
   rl::IterStats iterate() { return trainer_->iterate(); }
   std::vector<rl::IterStats> train(long long steps) {
     return trainer_->train(steps);
   }
 
-  /// Deterministic adversary (mean policy) for evaluation.
-  rl::ActionFn adversary() const;
+  /// Frozen deterministic adversary (mean policy) for evaluation.
+  rl::ActionFn adversary() const {
+    return rl::frozen_mean(trainer_->policy());
+  }
 
   rl::PpoTrainer& trainer() { return *trainer_; }
 
-  /// Attack state is exactly the PPO trainer's (the threat-model wrapper is
+  /// Attack state is exactly the PPO trainer's (the attack-view env is
   /// rebuilt from ctor arguments; its inner env is replayed by the trainer).
   void save_state(ArchiveWriter& a) const { trainer_->save_state(a); }
   void load_state(const ArchiveReader& a) { trainer_->load_state(a); }
@@ -52,6 +39,25 @@ class SaRl {
 
  private:
   std::unique_ptr<rl::PpoTrainer> trainer_;
+};
+
+/// SA-RL (Zhang et al.): the optimal black-box state adversary learned by
+/// plain PPO in the SA-MDP. This is the paper's single-agent baseline.
+///
+/// The original SA-RL trains on the victim's training-time reward r_E^ν —
+/// a relaxation of the black-box model. As in the paper's experiments
+/// (Sec. 6.2), our implementation uses the same surrogate −r̂_E^ν as IMAP so
+/// the comparison is apples-to-apples. The relaxed original is an attack
+/// env in RewardMode::AdversaryRelaxed (the ablation bench builds one).
+class SaRl : public PpoAdversary {
+ public:
+  using PpoAdversary::PpoAdversary;
+
+  /// Train against StatePerturbationEnv(deploy_env, victim, eps, Adversary).
+  /// Network-backed victim handles let the vectorized rollout engine batch
+  /// the victim queries (rl::PolicyHandle converts implicitly from ActionFn).
+  SaRl(const rl::Env& deploy_env, rl::PolicyHandle victim, double eps,
+       rl::PpoOptions ppo, Rng rng);
 };
 
 }  // namespace imap::attack

@@ -1,67 +1,26 @@
 #include "attack/threat_model.h"
 
-#include <algorithm>
-
 #include "common/check.h"
-#include "scenario/channels.h"
 
 namespace imap::attack {
+
+namespace {
+
+scenario::ScenarioSpec obs_perturb_spec(const rl::Env& inner, double eps) {
+  IMAP_CHECK(eps >= 0.0);
+  scenario::ScenarioSpec spec;
+  spec.env = inner.name();
+  spec.channels.push_back({scenario::ChannelKind::ObsPerturb, eps});
+  return spec;
+}
+
+}  // namespace
 
 StatePerturbationEnv::StatePerturbationEnv(const rl::Env& inner,
                                            rl::PolicyHandle victim, double eps,
                                            RewardMode mode)
-    : inner_(inner.clone()),
-      victim_(std::move(victim)),
-      eps_(eps),
-      mode_(mode),
-      act_space_(inner.obs_dim(), 1.0) {
-  IMAP_CHECK(eps_ >= 0.0);
-  IMAP_CHECK(static_cast<bool>(victim_));
-}
-
-StatePerturbationEnv::StatePerturbationEnv(const StatePerturbationEnv& other)
-    : inner_(other.inner_->clone()),
-      victim_(other.victim_),
-      eps_(other.eps_),
-      mode_(other.mode_),
-      act_space_(other.act_space_),
-      cur_obs_(other.cur_obs_) {}
-
-std::vector<double> StatePerturbationEnv::reset(Rng& rng) {
-  cur_obs_ = inner_->reset(rng);
-  return cur_obs_;
-}
-
-const std::vector<double>& StatePerturbationEnv::begin_step(
-    const std::vector<double>& action) {
-  IMAP_CHECK(action.size() == inner_->obs_dim());
-  const auto a = act_space_.clamp(action);
-
-  // Perturb the victim's view: s + ε·a^α (ℓ∞ budget by construction) — the
-  // shared obs_perturb channel primitive, bit-identical to the historical
-  // in-place loop.
-  perturbed_ = cur_obs_;
-  scenario::apply_obs_perturb(perturbed_, a.data(), eps_);
-  return perturbed_;
-}
-
-rl::StepResult StatePerturbationEnv::finish_step(
-    const std::vector<double>& policy_out) {
-  const auto victim_action = inner_->action_space().clamp(policy_out);
-  rl::StepResult sr = inner_->step(victim_action);
-  cur_obs_ = sr.obs;
-
-  if (mode_ == RewardMode::Adversary)
-    sr.reward = -sr.surrogate;
-  else if (mode_ == RewardMode::AdversaryRelaxed)
-    sr.reward = -sr.reward;  // the original SA-RL's relaxed objective
-  // VictimTrue keeps the inner reward untouched.
-  return sr;
-}
-
-rl::StepResult StatePerturbationEnv::step(const std::vector<double>& action) {
-  return finish_step(victim_.query(begin_step(action)));
-}
+    : ScenarioEnv(obs_perturb_spec(inner, eps), inner, std::move(victim),
+                  mode) {}
 
 OpponentEnv::OpponentEnv(const env::MultiAgentEnv& game,
                          rl::PolicyHandle victim)

@@ -87,6 +87,14 @@ int ExperimentRunner::default_eval_episodes(
   return std::max(10, static_cast<int>(base * std::min(1.0, cfg_.scale * 2)));
 }
 
+ExperimentRunner::Budgets ExperimentRunner::budgets(
+    const AttackPlan& plan) const {
+  return {plan.attack_steps ? plan.attack_steps
+                            : default_attack_steps(plan.env_name),
+          plan.eval_episodes ? plan.eval_episodes
+                             : default_eval_episodes(plan.env_name)};
+}
+
 rl::PpoOptions ExperimentRunner::attack_ppo_options() const {
   return rl::PpoOptions{};  // library defaults, shared by every attack
 
@@ -188,85 +196,21 @@ bool train_attacker(Attacker& attacker, long long steps, const ResumeCfg& rc,
 
 }  // namespace
 
-AttackOutcome ExperimentRunner::run_single_agent(const AttackPlan& plan,
-                                                 const std::string& key) {
-  const auto deploy_env = env::make_env(plan.env_name);
-  const auto victim_policy = zoo_.victim(plan.env_name, plan.defense);
-  // Network-backed handle: per-sample queries are bit-identical to the old
-  // as_fn closure, and vectorized attack rollouts can batch the victim.
-  const auto victim = Zoo::as_policy(victim_policy);
-  const double eps = env::spec(plan.env_name).epsilon;
-
-  Rng rng = plan_rng(plan);
-  const long long steps =
-      plan.attack_steps ? plan.attack_steps
-                        : default_attack_steps(plan.env_name);
-  const int episodes = plan.eval_episodes
-                           ? plan.eval_episodes
-                           : default_eval_episodes(plan.env_name);
-
-  AttackOutcome out;
-  out.plan = plan;
-  Rng eval_rng = rng.split(0xe7a1ULL);
-
-  switch (plan.attack) {
-    case AttackKind::None: {
-      out.victim_eval = attack::evaluate_attack(
-          *deploy_env, victim, attack::make_null_attack(deploy_env->obs_dim()),
-          eps, episodes, eval_rng);
-      return out;
-    }
-    case AttackKind::Random: {
-      out.victim_eval = attack::evaluate_attack(
-          *deploy_env, victim,
-          attack::make_random_attack(deploy_env->obs_dim(), rng.split(3)),
-          eps, episodes, eval_rng);
-      return out;
-    }
-    case AttackKind::SaRl: {
-      attack::SaRl attacker(*deploy_env, victim, eps, attack_ppo_options(),
-                            rng);
-      out.completed = train_attacker(
-          attacker, steps,
-          {snapshot_path(key), cfg_.snapshot_every, cfg_.halt_after_iters},
-          out.curve);
-      if (!out.completed) return out;
-      out.victim_eval = attack::evaluate_attack(
-          *deploy_env, victim, attacker.adversary(), eps, episodes, eval_rng);
-      return out;
-    }
-    case AttackKind::ApMarl:
-      IMAP_CHECK_MSG(false, "AP-MARL is a multi-agent attack");
-      return out;
-    default: {
-      ImapTrainer attacker(*deploy_env, victim, eps,
-                           imap_options(plan, plan.env_name), rng);
-      out.completed = train_attacker(
-          attacker, steps,
-          {snapshot_path(key), cfg_.snapshot_every, cfg_.halt_after_iters},
-          out.curve);
-      if (!out.completed) return out;
-      out.victim_eval = attack::evaluate_attack(
-          *deploy_env, victim, attacker.adversary(), eps, episodes, eval_rng);
-      return out;
-    }
-  }
-}
-
 AttackOutcome ExperimentRunner::run_scenario(const AttackPlan& plan,
-                                             const std::string& key) {
-  const auto spec = scenario::parse(plan.scenario);
+                                             const std::string& key,
+                                             long long steps, int episodes) {
+  // A classic plan runs its registry threat model: obs_perturb at the
+  // registry ε. That spec stays out of the plan, whose identity (rng
+  // stream, cache key) is still the bare env name.
+  const auto spec =
+      plan.scenario.empty()
+          ? scenario::with_default_threat(scenario::parse(plan.env_name))
+          : scenario::parse(plan.scenario);
   const auto victim_policy = zoo_.victim(spec.env, plan.defense);
+  // Network-backed handle: vectorized attack rollouts batch the victim.
   const auto victim = Zoo::as_policy(victim_policy);
 
   Rng rng = plan_rng(plan);
-  const long long steps =
-      plan.attack_steps ? plan.attack_steps
-                        : default_attack_steps(plan.env_name);
-  const int episodes = plan.eval_episodes
-                           ? plan.eval_episodes
-                           : default_eval_episodes(plan.env_name);
-
   AttackOutcome out;
   out.plan = plan;
   Rng eval_rng = rng.split(0xe7a1ULL);
@@ -274,7 +218,9 @@ AttackOutcome ExperimentRunner::run_scenario(const AttackPlan& plan,
   // Deployment view: the victim's TRUE reward under the full channel stack
   // (delay/dropout/noise/dr hit the victim even when no adversary acts).
   const auto eval_env = scenario::make_scenario_env(
-      spec, victim, attack::RewardMode::VictimTrue);
+      spec, victim, scenario::RewardMode::VictimTrue);
+  const ResumeCfg resume{snapshot_path(key), cfg_.snapshot_every,
+                         cfg_.halt_after_iters};
 
   switch (plan.attack) {
     case AttackKind::None: {
@@ -291,30 +237,25 @@ AttackOutcome ExperimentRunner::run_scenario(const AttackPlan& plan,
       return out;
     }
     case AttackKind::SaRl: {
-      const auto attack_env = scenario::make_scenario_env(
-          spec, victim, attack::RewardMode::Adversary);
-      attack::SaRl attacker(*attack_env, attack_ppo_options(), rng);
-      out.completed = train_attacker(
-          attacker, steps,
-          {snapshot_path(key), cfg_.snapshot_every, cfg_.halt_after_iters},
-          out.curve);
+      attack::SaRl attacker(
+          *scenario::make_scenario_env(spec, victim,
+                                       scenario::RewardMode::Adversary),
+          attack_ppo_options(), rng);
+      out.completed = train_attacker(attacker, steps, resume, out.curve);
       if (!out.completed) return out;
       out.victim_eval =
           rl::evaluate(*eval_env, attacker.adversary(), episodes, eval_rng);
       return out;
     }
     case AttackKind::ApMarl:
-      IMAP_CHECK_MSG(false, "AP-MARL has no scenario-layer threat model");
+      IMAP_CHECK_MSG(false, "AP-MARL is a multi-agent attack");
       return out;
     default: {
       ImapTrainer attacker(
           *scenario::make_scenario_env(spec, victim,
-                                       attack::RewardMode::Adversary),
+                                       scenario::RewardMode::Adversary),
           imap_options(plan, plan.env_name), rng);
-      out.completed = train_attacker(
-          attacker, steps,
-          {snapshot_path(key), cfg_.snapshot_every, cfg_.halt_after_iters},
-          out.curve);
+      out.completed = train_attacker(attacker, steps, resume, out.curve);
       if (!out.completed) return out;
       out.victim_eval =
           rl::evaluate(*eval_env, attacker.adversary(), episodes, eval_rng);
@@ -324,29 +265,23 @@ AttackOutcome ExperimentRunner::run_scenario(const AttackPlan& plan,
 }
 
 AttackOutcome ExperimentRunner::run_multi_agent(const AttackPlan& plan,
-                                                const std::string& key) {
+                                                const std::string& key,
+                                                long long steps,
+                                                int episodes) {
   const auto game = env::make_multiagent_env(plan.env_name);
   const auto victim_policy = zoo_.game_victim(plan.env_name);
   const auto victim = Zoo::as_policy(victim_policy);
 
   Rng rng = plan_rng(plan);
-  const long long steps =
-      plan.attack_steps ? plan.attack_steps
-                        : default_attack_steps(plan.env_name);
-  const int episodes = plan.eval_episodes
-                           ? plan.eval_episodes
-                           : default_eval_episodes(plan.env_name);
-
   AttackOutcome out;
   out.plan = plan;
   Rng eval_rng = rng.split(0xe7a1ULL);
+  const ResumeCfg resume{snapshot_path(key), cfg_.snapshot_every,
+                         cfg_.halt_after_iters};
 
   if (plan.attack == AttackKind::ApMarl) {
     attack::ApMarl attacker(*game, victim, attack_ppo_options(), rng);
-    out.completed = train_attacker(
-        attacker, steps,
-        {snapshot_path(key), cfg_.snapshot_every, cfg_.halt_after_iters},
-        out.curve);
+    out.completed = train_attacker(attacker, steps, resume, out.curve);
     if (!out.completed) return out;
     out.victim_eval = attack::evaluate_opponent_attack(
         *game, victim, attacker.adversary(), episodes, eval_rng);
@@ -355,10 +290,7 @@ AttackOutcome ExperimentRunner::run_multi_agent(const AttackPlan& plan,
   IMAP_CHECK_MSG(is_imap(plan.attack),
                  to_string(plan.attack) << " unsupported in multi-agent");
   ImapTrainer attacker(*game, victim, imap_options(plan, plan.env_name), rng);
-  out.completed = train_attacker(
-      attacker, steps,
-      {snapshot_path(key), cfg_.snapshot_every, cfg_.halt_after_iters},
-      out.curve);
+  out.completed = train_attacker(attacker, steps, resume, out.curve);
   if (!out.completed) return out;
   out.victim_eval = attack::evaluate_opponent_attack(
       *game, victim, attacker.adversary(), episodes, eval_rng);
@@ -473,12 +405,7 @@ void ExperimentRunner::store_cached(const std::string& key,
 
 AttackOutcome ExperimentRunner::run(const AttackPlan& raw_plan) {
   const AttackPlan plan = normalize_plan(raw_plan);
-  const long long steps = plan.attack_steps
-                              ? plan.attack_steps
-                              : default_attack_steps(plan.env_name);
-  const int episodes = plan.eval_episodes
-                           ? plan.eval_episodes
-                           : default_eval_episodes(plan.env_name);
+  const auto [steps, episodes] = budgets(plan);
   const auto key = cache_key(plan, steps, episodes);
   AttackOutcome cached;
   cached.plan = plan;
@@ -494,10 +421,10 @@ AttackOutcome ExperimentRunner::run(const AttackPlan& raw_plan) {
   if (load_cached(key, cached)) return cached;
 
   AttackOutcome out =
-      !plan.scenario.empty() ? run_scenario(plan, key)
-      : env::spec(plan.env_name).type == env::TaskType::MultiAgent
-          ? run_multi_agent(plan, key)
-          : run_single_agent(plan, key);
+      plan.scenario.empty() &&
+              env::spec(plan.env_name).type == env::TaskType::MultiAgent
+          ? run_multi_agent(plan, key, steps, episodes)
+          : run_scenario(plan, key, steps, episodes);
   // A halted run left a snapshot, not a result — resume before caching.
   if (out.completed) store_cached(key, out);
   return out;

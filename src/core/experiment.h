@@ -87,6 +87,15 @@ class ExperimentRunner {
   long long default_attack_steps(const std::string& env_name) const;
   int default_eval_episodes(const std::string& env_name) const;
 
+  /// A cell's budgets: the plan's attack_steps / eval_episodes, each
+  /// falling back to the task default when 0. The one derivation behind
+  /// cache keys, DAG nodes and the cell runners.
+  struct Budgets {
+    long long steps = 0;
+    int episodes = 0;
+  };
+  Budgets budgets(const AttackPlan& plan) const;
+
   /// PPO options shared by all attacks (baselines and IMAP).
   rl::PpoOptions attack_ppo_options() const;
 
@@ -109,12 +118,14 @@ class ExperimentRunner {
   AttackPlan normalize_plan(AttackPlan plan) const;
 
  private:
-  AttackOutcome run_single_agent(const AttackPlan& plan,
-                                 const std::string& key);
-  AttackOutcome run_multi_agent(const AttackPlan& plan,
-                                const std::string& key);
-  /// Non-trivial scenario plans: channel-pipeline attack env + evaluation.
-  AttackOutcome run_scenario(const AttackPlan& plan, const std::string& key);
+  /// Game plans: OpponentEnv attack + evaluation. `steps` / `episodes` are
+  /// the cell budgets run() derived for the cache key.
+  AttackOutcome run_multi_agent(const AttackPlan& plan, const std::string& key,
+                                long long steps, int episodes);
+  /// Every single-agent plan: channel-pipeline attack env + evaluation. A
+  /// classic (empty-scenario) plan runs with_default_threat(env_name).
+  AttackOutcome run_scenario(const AttackPlan& plan, const std::string& key,
+                             long long steps, int episodes);
   /// Mid-training snapshot file for one cached run (under
   /// <zoo_dir>/snapshots; the directory is created on first write).
   std::string snapshot_path(const std::string& key) const;

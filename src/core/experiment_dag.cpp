@@ -167,13 +167,8 @@ std::vector<DagNode> build_experiment_dag(
       vit = victim_of.emplace(vkey, nodes.size()).first;
       nodes.push_back(std::move(v));
     }
-    const long long steps = plan.attack_steps
-                                ? plan.attack_steps
-                                : runner.default_attack_steps(plan.env_name);
-    const int episodes = plan.eval_episodes
-                             ? plan.eval_episodes
-                             : runner.default_eval_episodes(plan.env_name);
-    const auto akey = runner.cache_key(plan, steps, episodes);
+    const auto b = runner.budgets(plan);
+    const auto akey = runner.cache_key(plan, b.steps, b.episodes);
     auto ait = attack_of.find(akey);
     if (ait == attack_of.end()) {
       DagNode a;

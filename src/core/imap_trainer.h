@@ -29,24 +29,25 @@ struct ImapOptions {
 /// by Bias-Reduction (Eq. 15–17) when enabled.
 class ImapTrainer {
  public:
-  /// Single-agent form: state-perturbation attack within ‖a^α‖∞ ≤ ε. If the
-  /// R regularizer is selected and no risk_target is set, s₀^ν is estimated
-  /// from a handful of environment resets. A network-backed victim handle
-  /// lets the vectorized rollout engine batch victim queries.
+  /// Pre-built attack-view env (e.g. a scenario::ScenarioEnv in Adversary
+  /// mode). If the R regularizer is selected and no risk_target is set, s₀^ν
+  /// is estimated from 16 resets of the attack env. Rng splits:
+  /// split(0x5eed) for that estimate, split(0x4e67) for the regularizer,
+  /// split(1) for the PPO trainer.
+  ImapTrainer(const rl::Env& attack_env, ImapOptions opts, Rng rng);
+
+  /// Single-agent form: state-perturbation attack within ‖a^α‖∞ ≤ ε, i.e.
+  /// the attack env StatePerturbationEnv(deploy_env, victim, eps,
+  /// Adversary). A network-backed victim handle lets the vectorized rollout
+  /// engine batch victim queries.
   ImapTrainer(const rl::Env& deploy_env, rl::PolicyHandle victim, double eps,
               ImapOptions opts, Rng rng);
 
-  /// Multi-agent form: opponent-control attack on a Markov game; the
-  /// regularizer marginals default to the game's Π_{S^ν}/Π_{S^α} ranges.
+  /// Multi-agent form: opponent-control attack on a Markov game, i.e. the
+  /// attack env OpponentEnv(game, victim); the regularizer marginals default
+  /// to the game's Π_{S^ν}/Π_{S^α} ranges.
   ImapTrainer(const env::MultiAgentEnv& game, rl::PolicyHandle victim,
               ImapOptions opts, Rng rng);
-
-  /// Pre-built attack-view env (e.g. a scenario::ScenarioEnv in Adversary
-  /// mode). Rng split discipline matches the single-agent ctor exactly:
-  /// split(0x5eed) for R-target estimation, split(0x4e67) for the
-  /// regularizer, split(1) for the PPO trainer — so a trivial scenario spec
-  /// reproduces the classic ctor bit-for-bit.
-  ImapTrainer(const rl::Env& attack_env, ImapOptions opts, Rng rng);
 
   rl::IterStats iterate() { return trainer_->iterate(); }
   std::vector<rl::IterStats> train(long long steps) {
@@ -71,8 +72,6 @@ class ImapTrainer {
   bool restore(const std::string& path);
 
  private:
-  void finish_setup(const rl::Env& attack_env, ImapOptions opts, Rng rng);
-
   ImapOptions opts_;
   BiasReduction br_;
   std::unique_ptr<AdversarialRegularizer> reg_;

@@ -66,10 +66,7 @@ long long Zoo::victim_steps(const std::string& scenario_or_env) const {
 }
 
 rl::ActionFn Zoo::as_fn(const nn::GaussianPolicy& policy) {
-  auto snapshot = std::make_shared<nn::GaussianPolicy>(policy);
-  return [snapshot](const std::vector<double>& obs) {
-    return snapshot->mean_action(obs);
-  };
+  return rl::frozen_mean(policy);
 }
 
 rl::PolicyHandle Zoo::as_policy(const nn::GaussianPolicy& policy) {

@@ -13,8 +13,9 @@
 namespace imap::defense {
 
 /// The victim's side of adversarial training: an env whose observations are
-/// corrupted by a FIXED adversary (the converse of
-/// attack::StatePerturbationEnv, where the adversary is the agent).
+/// corrupted by a FIXED adversary (the converse of the single-agent threat
+/// model — a scenario::ScenarioEnv with obs_perturb — where the adversary is
+/// the agent).
 ///
 /// Two adversary forms:
 ///  * an rl::ActionFn (ATLA rounds: the frozen RL adversary of the round);

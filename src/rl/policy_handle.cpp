@@ -28,6 +28,13 @@ PolicyHandle PolicyHandle::serving(
   return h;
 }
 
+ActionFn frozen_mean(const nn::GaussianPolicy& policy) {
+  auto snapshot = std::make_shared<const nn::GaussianPolicy>(policy);
+  return [snapshot](const std::vector<double>& obs) {
+    return snapshot->mean_action(obs);
+  };
+}
+
 std::vector<double> PolicyHandle::query(const std::vector<double>& obs) const {
   if (qnet_) return qnet_->forward(obs);
   return net_ ? net_->mean_action(obs) : fn_(obs);

@@ -94,4 +94,9 @@ class PolicyHandle {
   std::shared_ptr<const nn::QuantizedMlp> qnet_;
 };
 
+/// Deep-copied frozen snapshot of `policy` as an opaque deterministic
+/// ActionFn (its mean action) — how trained adversaries are exported for
+/// evaluation; training can continue on the original.
+ActionFn frozen_mean(const nn::GaussianPolicy& policy);
+
 }  // namespace imap::rl

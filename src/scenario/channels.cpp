@@ -44,8 +44,8 @@ ChannelPipeline::ChannelPipeline(const ScenarioSpec& spec,
 void ChannelPipeline::begin_episode(Rng& rng, double budget_scale) {
   // One reseed draw per stochastic channel PRESENT, in pipeline order, so a
   // scenario without stochastic channels consumes no extra slot-Rng draws
-  // (keeping e.g. `env+obs_perturb:eps` rollouts bit-identical to the
-  // legacy StatePerturbationEnv's).
+  // (an `env+obs_perturb:eps` rollout draws exactly what the inner env
+  // draws — the classic single-agent trajectory test_scenario pins).
   if (dropout_p_ >= 0.0) dropout_rng_ = Rng(rng.next_u64());
   if (noise_eps_ >= 0.0) noise_rng_ = Rng(rng.next_u64());
   ring_head_ = 0;

@@ -8,13 +8,13 @@
 
 namespace imap::scenario {
 
-/// The two shared perturbation primitives. Both threat-model wrappers apply
-/// them with exactly these loops, so porting a wrapper onto the pipeline is
-/// bit-compatible by construction.
+/// The two observation-perturbation primitives of the pipeline. The ATLA
+/// defense wrapper runs apply_obs_noise too, so its noise mode and the
+/// obs_noise channel are bit-compatible by construction.
 
-/// obs[i] += eps * ctrl[i] — the SA-MDP observation perturbation
-/// (attack::StatePerturbationEnv::begin_step's arithmetic). `ctrl` must be
-/// pre-clamped to [-1, 1] and at least obs.size() wide.
+/// obs[i] += eps * ctrl[i] — the SA-MDP observation perturbation of the
+/// obs_perturb channel (the paper's single-agent threat model). `ctrl` must
+/// be pre-clamped to [-1, 1] and at least obs.size() wide.
 void apply_obs_perturb(std::vector<double>& obs, const double* ctrl,
                        double eps);
 
@@ -35,8 +35,8 @@ void apply_obs_noise(std::vector<double>& obs, double eps, Rng& rng);
 /// All channel state (delay ring, dropout hold, noise streams, budget pool)
 /// is a pure function of the reset Rng and the action sequence, so
 /// replay-based snapshot restore (rl::EpisodeReplay) reproduces it without
-/// any explicit serialization — the same property the existing wrappers
-/// rely on.
+/// any explicit serialization — the same property OpponentEnv and the
+/// defense wrappers rely on.
 class ChannelPipeline {
  public:
   ChannelPipeline(const ScenarioSpec& spec, std::size_t obs_dim,

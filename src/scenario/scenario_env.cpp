@@ -21,9 +21,13 @@ std::uint64_t mix(std::uint64_t x) {
 }  // namespace
 
 ScenarioEnv::ScenarioEnv(const ScenarioSpec& spec, rl::PolicyHandle victim,
-                         attack::RewardMode mode)
+                         RewardMode mode)
+    : ScenarioEnv(spec, *env::make_env(spec.env), std::move(victim), mode) {}
+
+ScenarioEnv::ScenarioEnv(const ScenarioSpec& spec, const rl::Env& inner,
+                         rl::PolicyHandle victim, RewardMode mode)
     : spec_(spec),
-      inner_(env::make_env(spec.env)),
+      inner_(inner.clone()),
       victim_(std::move(victim)),
       mode_(mode),
       pipeline_(spec, inner_->obs_dim(), inner_->act_dim()),
@@ -104,10 +108,10 @@ rl::StepResult ScenarioEnv::finish_step(
   pipeline_.corrupt_obs(sr.obs);
   cur_obs_ = sr.obs;
 
-  if (mode_ == attack::RewardMode::Adversary)
+  if (mode_ == RewardMode::Adversary)
     sr.reward = -sr.surrogate;
-  else if (mode_ == attack::RewardMode::AdversaryRelaxed)
-    sr.reward = -sr.reward;
+  else if (mode_ == RewardMode::AdversaryRelaxed)
+    sr.reward = -sr.reward;  // the original SA-RL's relaxed objective
   // VictimTrue keeps the inner reward untouched.
   return sr;
 }
@@ -118,7 +122,7 @@ rl::StepResult ScenarioEnv::step(const std::vector<double>& action) {
 
 std::unique_ptr<ScenarioEnv> make_scenario_env(const ScenarioSpec& spec,
                                                rl::PolicyHandle victim,
-                                               attack::RewardMode mode) {
+                                               RewardMode mode) {
   return std::make_unique<ScenarioEnv>(spec, std::move(victim), mode);
 }
 

@@ -2,7 +2,6 @@
 
 #include <memory>
 
-#include "attack/threat_model.h"
 #include "rl/env.h"
 #include "rl/policy_handle.h"
 #include "rl/split_step.h"
@@ -11,12 +10,23 @@
 
 namespace imap::scenario {
 
+/// Whose reward the env reports. Attack TRAINING uses Adversary
+/// (J_AP = −r̂, the black-box surrogate objective, Eq. 3); attack EVALUATION
+/// uses VictimTrue so the harness can report the victim's real episode
+/// rewards J_E^ν under attack (the paper's Table 1/2 metric).
+/// AdversaryRelaxed is the ORIGINAL SA-RL threat model (paper Sec. 4.2:
+/// "SA-RL relaxed the second assumption"): the adversary trains on the
+/// negated TRUE victim reward −r_E^ν — information a black-box attacker
+/// would not have. Kept for the ablation bench.
+enum class RewardMode { Adversary, VictimTrue, AdversaryRelaxed };
+
 /// One scenario instance: the base environment wrapped in the full
 /// perturbation-channel pipeline plus per-reset domain randomization, hosted
-/// behind the same rl::SplitStepEnv contract as attack::StatePerturbationEnv
-/// — so the vectorized rollout engine still answers every lockstep slot's
-/// victim query with ONE batched forward per tick, whatever the channel
-/// stack.
+/// behind the rl::SplitStepEnv contract — so the vectorized rollout engine
+/// answers every lockstep slot's victim query with ONE batched forward per
+/// tick, whatever the channel stack. With `obs_perturb` alone this is the
+/// paper's single-agent threat model (Sec. 4.3): the frozen victim acts on
+/// s + ε·a^α, ‖a^α‖∞ ≤ 1 (attack::StatePerturbationEnv names that case).
 ///
 /// As an rl::Env the *agent* is the adversary; its action is the
 /// concatenation of the controlled channels' slices (see ChannelPipeline).
@@ -33,8 +43,12 @@ namespace imap::scenario {
 /// replay exactly from their pre-reset Rng state (snapshot restore).
 class ScenarioEnv : public rl::EnvBase<ScenarioEnv>, public rl::SplitStepEnv {
  public:
+  /// Build the registry env `spec.env` and wrap it.
   ScenarioEnv(const ScenarioSpec& spec, rl::PolicyHandle victim,
-              attack::RewardMode mode);
+              RewardMode mode);
+  /// Wrap a clone of a prebuilt `inner` env; `spec.env` only names it.
+  ScenarioEnv(const ScenarioSpec& spec, const rl::Env& inner,
+              rl::PolicyHandle victim, RewardMode mode);
   ScenarioEnv(const ScenarioEnv& other);
   ScenarioEnv& operator=(const ScenarioEnv&) = delete;
 
@@ -69,7 +83,7 @@ class ScenarioEnv : public rl::EnvBase<ScenarioEnv>, public rl::SplitStepEnv {
   ScenarioSpec spec_;
   std::unique_ptr<rl::Env> inner_;
   rl::PolicyHandle victim_;
-  attack::RewardMode mode_;
+  RewardMode mode_;
   ChannelPipeline pipeline_;
   rl::BoxSpace act_space_;
   rl::DynamicsScales dynamics_;
@@ -80,10 +94,9 @@ class ScenarioEnv : public rl::EnvBase<ScenarioEnv>, public rl::SplitStepEnv {
 };
 
 /// Build the attack/evaluation env for a scenario: RewardMode::Adversary for
-/// attack training, RewardMode::VictimTrue for evaluation (exactly the
-/// threat_model.h conventions).
+/// attack training, RewardMode::VictimTrue for evaluation.
 std::unique_ptr<ScenarioEnv> make_scenario_env(const ScenarioSpec& spec,
                                                rl::PolicyHandle victim,
-                                               attack::RewardMode mode);
+                                               RewardMode mode);
 
 }  // namespace imap::scenario

@@ -6,6 +6,7 @@
 #include "attack/random_attack.h"
 #include "attack/sa_rl.h"
 #include "attack/threat_model.h"
+#include "digest.h"
 #include "env/hopper.h"
 #include "env/you_shall_not_pass.h"
 
@@ -193,6 +194,24 @@ TEST(ApMarl, TrainsOnGame) {
   const auto stats = attacker.train(1024);
   EXPECT_GE(stats.size(), 2u);
   EXPECT_EQ(attacker.adversary()(std::vector<double>(11, 0.0)).size(), 2u);
+}
+
+// AP-MARL's snapshot bytes after two PPO iterations, as an FNV-1a digest
+// recorded from the dedicated AP-MARL trainer body: sharing the PPO-adversary
+// body with SA-RL must not change what a checkpoint holds.
+TEST(ApMarl, SnapshotBytesMatchPinnedDigest) {
+  const auto game = env::make_you_shall_not_pass();
+  rl::PpoOptions ppo;
+  ppo.steps_per_iter = 512;
+  ApMarl attacker(*game, rl::ActionFn([](const std::vector<double>&) {
+    return std::vector<double>{-1.0, 0.0};
+  }), ppo, Rng(5));
+  attacker.train(1024);
+  ArchiveWriter a;
+  attacker.save_state(a);
+  const auto bytes = a.bytes();
+  EXPECT_EQ(imap::testing::fnv1a(bytes.data(), bytes.size()),
+            0xf20f731c96e3ca26ULL);
 }
 
 }  // namespace

@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <filesystem>
 
 #include "common/check.h"
 #include "core/experiment.h"
+#include "digest.h"
 #include "temp_dir.h"
 
 namespace imap::core {
@@ -196,6 +198,61 @@ TEST_F(ExperimentTest, SingleAgentRejectsApMarl) {
   plan.attack_steps = 4096;
   plan.eval_episodes = 5;
   EXPECT_THROW(runner.run(plan), CheckError);
+}
+
+// Digest of an outcome's per-episode evaluation returns and learning curve.
+std::uint64_t outcome_digest(const AttackOutcome& out) {
+  std::vector<double> v = out.victim_eval.episode_returns;
+  for (const auto& p : out.curve) {
+    v.push_back(static_cast<double>(p.steps));
+    v.push_back(p.victim_success);
+    v.push_back(p.tau);
+  }
+  return imap::testing::digest(v);
+}
+
+// Classic (empty-scenario) paper-grid cells reproduce the exact bits they
+// produced when they ran through their own single-agent runner; the
+// digests were recorded from that runner. IMAP-R exercises the R-target
+// estimation, IMAP-PC+BR the Bias-Reduction temperature in the curve.
+TEST_F(ExperimentTest, ClassicHopperCellsMatchPinnedDigests) {
+  ExperimentRunner runner(cfg_);
+  struct Cell {
+    AttackKind attack;
+    bool br;
+    std::uint64_t digest;
+  };
+  const Cell cells[] = {{AttackKind::None, false, 0xf7b0cecf86b75616ULL},
+                        {AttackKind::Random, false, 0xa0b14624e575e69bULL},
+                        {AttackKind::SaRl, false, 0x779eca1164825dcbULL},
+                        {AttackKind::ImapR, false, 0xf48449d123a1240fULL},
+                        {AttackKind::ImapPC, true, 0x3535826178c1a7f8ULL}};
+  for (const auto& c : cells) {
+    AttackPlan plan;
+    plan.env_name = "Hopper";
+    plan.attack = c.attack;
+    plan.bias_reduction = c.br;
+    plan.attack_steps = 4096;
+    plan.eval_episodes = 5;
+    const auto out = runner.run(plan);
+    EXPECT_EQ(out.victim_eval.episode_returns.size(), 5u);
+    EXPECT_EQ(out.curve.size(), c.attack == AttackKind::None ||
+                                        c.attack == AttackKind::Random
+                                    ? 0u
+                                    : 2u);
+    EXPECT_EQ(outcome_digest(out), c.digest)
+        << to_string(c.attack) << (c.br ? "+BR" : "");
+  }
+}
+
+// The classic plan's cache key, recorded from the same runner: an
+// unchanged key means existing result caches stay valid.
+TEST_F(ExperimentTest, ClassicCacheKeyIsPinned) {
+  ExperimentRunner runner(cfg_);
+  AttackPlan plan;
+  plan.env_name = "Hopper";
+  plan.attack = AttackKind::ImapPC;
+  EXPECT_EQ(runner.cache_key(plan, 4096, 5), "Hopper_IMAP-PC_2e5c6bc01a3d0c64");
 }
 
 }  // namespace

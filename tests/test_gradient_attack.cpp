@@ -112,7 +112,9 @@ TEST(RelaxedSaRl, TrainsOnTrueRewardChannel) {
 
   rl::PpoOptions ppo;
   ppo.steps_per_iter = 512;
-  SaRl attacker(*env, victim, 0.075, ppo, Rng(5), /*relaxed=*/true);
+  SaRl attacker(StatePerturbationEnv(*env, victim, 0.075,
+                                     RewardMode::AdversaryRelaxed),
+                ppo, Rng(5));
   const auto stats = attacker.train(1024);
   EXPECT_FALSE(stats.empty());
 }

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "core/imap_trainer.h"
+#include "digest.h"
 #include "env/hopper.h"
 #include "env/you_shall_not_pass.h"
 
@@ -75,6 +76,24 @@ TEST(ImapTrainer, MultiAgentUsesGameMarginals) {
   const auto s = t.iterate();
   EXPECT_GT(s.mean_intrinsic, 0.0);
   EXPECT_EQ(t.regularizer().type(), RegularizerType::PC);
+}
+
+// Multi-agent IMAP-R: the game's default marginals feed the R-target
+// estimation. The snapshot digest (FNV-1a over the archive bytes after two
+// iterations) was recorded from the multi-agent constructor's own copy of
+// that setup, before it was folded onto the shared attack-env path.
+TEST(ImapTrainer, MultiAgentRiskTargetSnapshotMatchesPinnedDigest) {
+  const auto game = env::make_you_shall_not_pass();
+  rl::ActionFn victim = [](const std::vector<double>&) {
+    return std::vector<double>{-1.0, 0.0};
+  };
+  ImapTrainer t(*game, victim, small_opts(RegularizerType::R), Rng(5));
+  t.train(1024);
+  ArchiveWriter a;
+  t.save_state(a);
+  const auto bytes = a.bytes();
+  EXPECT_EQ(imap::testing::fnv1a(bytes.data(), bytes.size()),
+            0x2a069ff55a5cd420ULL);
 }
 
 TEST(ImapTrainer, AdversaryMatchesThreatModelShape) {

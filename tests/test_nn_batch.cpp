@@ -13,10 +13,10 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
-#include <cstring>
 #include <new>
 #include <vector>
 
+#include "digest.h"
 #include "env/registry.h"
 #include "nn/batch.h"
 #include "nn/gaussian.h"
@@ -312,20 +312,8 @@ TEST(MlpBatch, SteadyStateForwardBackwardAllocatesNothing) {
 namespace imap::rl {
 namespace {
 
-// FNV-1a over the exact bytes of a parameter vector: equal digests mean
-// bit-identical parameters.
-std::uint64_t param_digest(const std::vector<double>& v) {
-  std::uint64_t h = 1469598103934665603ULL;
-  for (const double d : v) {
-    unsigned char bytes[sizeof(double)];
-    std::memcpy(bytes, &d, sizeof(double));
-    for (const unsigned char b : bytes) {
-      h ^= b;
-      h *= 1099511628211ULL;
-    }
-  }
-  return h;
-}
+// Equal digests mean bit-identical parameters.
+using imap::testing::digest;
 
 // End-to-end contract: the batched PPO update reproduces, bit for bit, the
 // trace of the per-sample reference update (one autodiff tape per sample)
@@ -360,8 +348,8 @@ TEST(PpoBatchedUpdate, BitIdenticalToPerSample) {
   const auto val = batched.value_e().params();
   ASSERT_EQ(pol.size(), 1542u);
   ASSERT_EQ(val.size(), 1473u);
-  EXPECT_EQ(param_digest(pol), 0x6fe79dc0400495e9ULL);
-  EXPECT_EQ(param_digest(val), 0x59b96cfbd2167b1bULL);
+  EXPECT_EQ(digest(pol), 0x6fe79dc0400495e9ULL);
+  EXPECT_EQ(digest(val), 0x59b96cfbd2167b1bULL);
 }
 
 // Same contract with gradient sharding on top: the batched kernels compose
@@ -383,8 +371,8 @@ TEST(PpoBatchedUpdate, BitIdenticalToPerSampleWithShards) {
   const auto val = batched.value_e().params();
   ASSERT_EQ(pol.size(), 1542u);
   ASSERT_EQ(val.size(), 1473u);
-  EXPECT_EQ(param_digest(pol), 0x69655f23c4a424d7ULL);
-  EXPECT_EQ(param_digest(val), 0x881586f31db24222ULL);
+  EXPECT_EQ(digest(pol), 0x69655f23c4a424d7ULL);
+  EXPECT_EQ(digest(val), 0x881586f31db24222ULL);
 }
 
 // The intrinsic channel (Eq. 14) on top, with a step size and epoch count
@@ -413,10 +401,10 @@ TEST(PpoBatchedUpdate, BitIdenticalToPerSampleWithIntrinsic) {
   EXPECT_EQ(second.policy_loss, -0x1.d7acfd38b7eb8p-6);
   EXPECT_EQ(second.value_loss, 0x1.8deb96f304071p+6);
   EXPECT_EQ(second.approx_kl, 0x1.f95069fba29a8p-5);
-  EXPECT_EQ(param_digest(batched.policy().flat_params()),
+  EXPECT_EQ(digest(batched.policy().flat_params()),
             0x67c51210b14bb937ULL);
-  EXPECT_EQ(param_digest(batched.value_e().params()), 0x656228ca44b94afdULL);
-  EXPECT_EQ(param_digest(batched.value_i().params()), 0x2f7e0c77da6a544bULL);
+  EXPECT_EQ(digest(batched.value_e().params()), 0x656228ca44b94afdULL);
+  EXPECT_EQ(digest(batched.value_i().params()), 0x2f7e0c77da6a544bULL);
 }
 
 }  // namespace

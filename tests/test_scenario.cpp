@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <vector>
 
 #include "attack/threat_model.h"
 #include "common/check.h"
+#include "digest.h"
 #include "env/hopper.h"
 #include "env/registry.h"
 #include "scenario/channels.h"
@@ -143,35 +145,48 @@ TEST(ChannelPrimitives, ObsNoiseIsTheLegacyLoop) {
   EXPECT_EQ(a, b);
 }
 
-// The obs_perturb-only scenario must be bit-identical to the legacy
-// StatePerturbationEnv — same Rng draws, same arithmetic, same rewards —
-// so cells that migrate to scenario strings reproduce their history.
-TEST(ScenarioEnv, ObsPerturbOnlyMatchesStatePerturbationEnvBitwise) {
-  const auto spec = parse("hopper+obs_perturb:0.075");
-  ScenarioEnv scen(spec, feedback_victim(), attack::RewardMode::Adversary);
-  const auto inner = env::make_hopper();
-  attack::StatePerturbationEnv legacy(*inner, feedback_victim(), 0.075,
-                                      attack::RewardMode::Adversary);
-  EXPECT_EQ(scen.act_dim(), legacy.act_dim());
-
-  Rng r1(21), r2(21), act_rng(5);
+// Two episodes (at most 80 steps each) under a seeded, partly out-of-box
+// adversary action stream: every observation, reward, surrogate and end
+// flag, in order.
+std::vector<double> trajectory(rl::Env& env) {
+  std::vector<double> trace;
+  Rng rng(21), act_rng(5);
   for (int ep = 0; ep < 2; ++ep) {
-    auto o1 = scen.reset(r1);
-    auto o2 = legacy.reset(r2);
-    ASSERT_EQ(o1, o2);
+    const auto obs = env.reset(rng);
+    trace.insert(trace.end(), obs.begin(), obs.end());
     for (int t = 0; t < 80; ++t) {
-      std::vector<double> a(scen.act_dim());
+      std::vector<double> a(env.act_dim());
       for (auto& x : a) x = act_rng.uniform(-1.5, 1.5);
-      const auto s1 = scen.step(a);
-      const auto s2 = legacy.step(a);
-      ASSERT_EQ(s1.obs, s2.obs);
-      ASSERT_EQ(s1.reward, s2.reward);
-      ASSERT_EQ(s1.surrogate, s2.surrogate);
-      ASSERT_EQ(s1.done, s2.done);
-      ASSERT_EQ(s1.truncated, s2.truncated);
-      if (s1.done || s1.truncated) break;
+      const auto sr = env.step(a);
+      trace.insert(trace.end(), sr.obs.begin(), sr.obs.end());
+      trace.push_back(sr.reward);
+      trace.push_back(sr.surrogate);
+      trace.push_back(sr.done ? 1.0 : 0.0);
+      trace.push_back(sr.truncated ? 1.0 : 0.0);
+      if (sr.done || sr.truncated) break;
     }
   }
+  return trace;
+}
+
+// The obs_perturb-only scenario reproduces, bit for bit, the trajectory of
+// the separate StatePerturbationEnv wrapper it replaced — same Rng draws,
+// same arithmetic, same rewards — so classic cells keep their history. The
+// digest was recorded from that wrapper; StatePerturbationEnv is now a
+// ScenarioEnv and must land on it too.
+TEST(ScenarioEnv, ObsPerturbOnlyMatchesPinnedLegacyTrajectory) {
+  constexpr std::uint64_t kLegacyDigest = 0x4019dcc29747a6efULL;
+  ScenarioEnv scen(parse("hopper+obs_perturb:0.075"), feedback_victim(),
+                   attack::RewardMode::Adversary);
+  const auto inner = env::make_hopper();
+  attack::StatePerturbationEnv wrapper(*inner, feedback_victim(), 0.075,
+                                       attack::RewardMode::Adversary);
+  EXPECT_EQ(scen.act_dim(), wrapper.act_dim());
+  const auto t1 = trajectory(scen);
+  const auto t2 = trajectory(wrapper);
+  EXPECT_EQ(t1.size(), 2422u);
+  EXPECT_EQ(imap::testing::digest(t1), kLegacyDigest);
+  EXPECT_EQ(imap::testing::digest(t2), kLegacyDigest);
 }
 
 // The SplitStepEnv contract, bitwise, for the FULL channel stack: step(a)

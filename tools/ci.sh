@@ -22,6 +22,15 @@ cmake -B "${BUILD_DIR}" -S . -DIMAP_WERROR="${WERROR}" || exit 1
 stage "build"
 cmake --build "${BUILD_DIR}" -j "${JOBS}" || exit 1
 
+stage "perfbench build (compile the attack-cell benchmark, do not run it)"
+# perfbench/ is its own CMake project over this library, configured the way
+# perfbench/run.py configures it. Building it here makes a library API
+# change that breaks the benchmark fail CI instead of the benchmark run.
+cmake -S perfbench -B "${BUILD_DIR}/perfbench" \
+  -DCMAKE_BUILD_TYPE=RelWithDebInfo || exit 1
+cmake --build "${BUILD_DIR}/perfbench" --target perfbench -j "${JOBS}" \
+  || exit 1
+
 stage "lint"
 python3 tools/lint/imap_lint.py --root . src bench tests || exit 1
 python3 tools/lint/test_imap_lint.py || exit 1
