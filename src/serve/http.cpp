@@ -9,6 +9,7 @@
 
 #include <cctype>
 #include <cerrno>
+#include <charconv>
 #include <cstdlib>
 #include <cstring>
 
@@ -103,11 +104,18 @@ ParseStatus parse_request(std::string& buf, HttpRequest& out) {
         header_name_is(buf, pos, colon, "content-length")) {
       std::size_t v = colon + 1;
       while (v < eol && buf[v] == ' ') ++v;
-      char* end = nullptr;
-      // strtoull stops at the '\r' terminating the header line.
-      const unsigned long long n = std::strtoull(buf.c_str() + v, &end, 10);
-      if (end == buf.c_str() + v) return ParseStatus::Bad;
-      content_length = static_cast<std::size_t>(n);
+      std::size_t v_end = eol;
+      while (v_end > v && buf[v_end - 1] == ' ') --v_end;
+      // The whole value must be base-10 digits: a sign, a suffix, an
+      // overflow or a length past the request bound is malformed. Bounding
+      // it here keeps `head_end + 4 + content_length` below from wrapping.
+      const char* first = buf.data() + v;
+      const char* last = buf.data() + v_end;
+      std::size_t n = 0;
+      const auto [ptr, ec] = std::from_chars(first, last, n);
+      if (ec != std::errc() || ptr != last || n > kMaxRequestBytes)
+        return ParseStatus::Bad;
+      content_length = n;
     }
     pos = eol + 2;
   }

@@ -24,8 +24,9 @@ TEST(Rng, DeterministicGivenSeed) {
 TEST(Rng, DifferentSeedsDiffer) {
   Rng a(1), b(2);
   int equal = 0;
+  // Counts draws that coincide bit for bit, so the comparison is exact.
   for (int i = 0; i < 100; ++i)
-    if (a.uniform() == b.uniform()) ++equal;
+    if (a.uniform() == b.uniform()) ++equal;  // imap-check: allow(float-eq)
   EXPECT_LT(equal, 5);
 }
 

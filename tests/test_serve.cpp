@@ -117,6 +117,30 @@ TEST(HttpParse, MalformedRequestLine) {
   EXPECT_EQ(parse_request(buf, req), ParseStatus::Bad);
 }
 
+TEST(HttpParse, RejectsMalformedContentLength) {
+  // A sign, an overflow, a non-digit suffix or a length past the request
+  // bound is a 400, never a body of some other length. Each request carries
+  // a tail that a misread length would swallow or leave behind.
+  const auto parse_with = [](const std::string& value) {
+    std::string buf = "POST /infer HTTP/1.1\r\nContent-Length: " + value +
+                      "\r\n\r\nabc\nGET";
+    HttpRequest req;
+    return parse_request(buf, req);
+  };
+  for (const std::string& bad :
+       {std::string("-1"), std::string("18446744073709551615"),
+        std::string("3abc"), std::string("+3"),
+        std::to_string(kMaxRequestBytes + 1)})
+    EXPECT_EQ(parse_with(bad), ParseStatus::Bad) << "Content-Length: " << bad;
+
+  // Trailing spaces after the digits are still a valid length.
+  std::string buf = "POST /infer HTTP/1.1\r\nContent-Length: 3 \r\n\r\nabc";
+  HttpRequest req;
+  ASSERT_EQ(parse_request(buf, req), ParseStatus::Ok);
+  EXPECT_EQ(req.body, "abc");
+  EXPECT_TRUE(buf.empty());
+}
+
 TEST(HttpParse, ResponseRoundTripShape) {
   const std::string r = format_response(200, "text/plain", "hello");
   EXPECT_NE(r.find("HTTP/1.1 200 OK\r\n"), std::string::npos);

@@ -5,11 +5,12 @@ Usage:
     bench_diff.py [--tolerance FRAC] REFERENCE CANDIDATE
 
 Compares every benchmark entry present in both files. For each metric whose
-name ends in ``_steps_per_s`` the candidate must reach at least
-``(1 - tolerance)`` of the reference value (default tolerance: 0.10, i.e. a
->10% steps/s regression fails). Entries carrying a ``traces_identical`` flag
-must also report ``true`` in the candidate — a faster-but-wrong rollout is a
-failure, not a win.
+name ends in ``_steps_per_s`` the candidate must report a number reaching
+at least ``(1 - tolerance)`` of the reference value (default tolerance: 0.10,
+i.e. a >10% steps/s regression fails); a missing or non-numeric candidate
+value fails too. Entries whose reference carries a ``traces_identical`` flag
+must report ``true`` in the candidate — a faster-but-wrong rollout, or one
+that no longer says, is a failure, not a win.
 
 Exit status: 0 when every gate passes, 1 on any regression, broken trace
 or malformed input. The ci.sh bench-diff stage runs this against a
@@ -36,6 +37,10 @@ def load(path):
     return data
 
 
+def is_number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--tolerance", type=float, default=0.10,
@@ -59,15 +64,19 @@ def main():
         r, c = ref[key], cand[key]
         if not isinstance(r, dict) or not isinstance(c, dict):
             continue
-        if c.get("traces_identical") is False:
-            print(f"FAIL {key}: candidate traces_identical is false")
+        if "traces_identical" in r and c.get("traces_identical") is not True:
+            print(f"FAIL {key}: candidate traces_identical is "
+                  f"{json.dumps(c.get('traces_identical'))}, not true")
             failures += 1
         for metric, r_val in r.items():
-            if not metric.endswith(THROUGHPUT_SUFFIX):
+            if not metric.endswith(THROUGHPUT_SUFFIX) or \
+               not is_number(r_val) or r_val <= 0:
                 continue
             c_val = c.get(metric)
-            if not isinstance(r_val, (int, float)) or \
-               not isinstance(c_val, (int, float)) or r_val <= 0:
+            if not is_number(c_val):
+                print(f"FAIL {key}.{metric}: missing or non-numeric in the "
+                      f"candidate ({json.dumps(c_val)})")
+                failures += 1
                 continue
             compared += 1
             floor = (1.0 - args.tolerance) * r_val

@@ -1,46 +1,9 @@
 #!/usr/bin/env python3
-"""checks — the imap_check semantic rule suite.
+"""checks — the imap_check rule implementations.
 
-Each check consumes a TuModel (built by cpp_ast.py or clang_ast.py — the
-rules are frontend-agnostic) and yields Finding objects. The compile-database
-contract check (kernel-flags) consumes compile_commands.json directly.
-
-Rules:
-
-  rng-parallel        Engine-advancing Rng draws reachable from a
-                      parallel_for / parallel_for_chunked / ThreadPool::submit
-                      lambda must go through a slot-keyed Rng::split (split is
-                      pure: it derives the child from the seed, never the
-                      engine, so `shared.split(slot)` is deterministic while
-                      `shared.uniform()` depends on thread schedule).
-                      Reachability is transitive over the TU-local call graph.
-  nondet-source       rand/srand/std::random_device/raw mt19937, wall-clock
-                      reads (chrono ::now, time(), clock(), gettimeofday) in
-                      src/ — any of these silently breaks seed determinism.
-  hot-loop-alloc      Allocating declarations (std::vector<numeric>, nested
-                      vectors, std::string) inside loop bodies in hot-path
-                      layers, *after* resolving using/typedef aliases and
-                      `auto` initializers — the sugar the regex linter cannot
-                      see.
-  float-eq            ==/!= where both operands are floating-point and at
-                      least one is a computed (non-literal) expression, typed
-                      through declarations, members, casts and known return
-                      types. Literal comparisons are also flagged (shared
-                      semantics with imap_lint's float-eq).
-  serialize-symmetry  save_state/load_state bodies must perform the same
-                      field operations in the same order, member by member
-                      (grouped per archive section; sections are random
-                      access, fields within one are not).
-  kernel-flags        Every kernel TU in compile_commands.json must carry its
-                      declared contraction + ISA flags, and nothing more.
-  fma-intrinsic       FMA intrinsics / std::fma fuse mul+add into a single
-                      rounding and are banned outside allowlisted sites.
-  ipc-framing         Raw descriptor I/O of in-memory objects
-                      (`write(fd, &hdr, sizeof hdr)` and friends) is banned
-                      in src/: struct layout is ABI- and padding-dependent
-                      and a torn write has no integrity check. Cross-process
-                      messages go through the Archive section API framed by
-                      proc::Channel (the sanctioned home, src/common/proc.*).
+Each per-file check consumes a TuModel built by cpp_ast.py and returns
+Finding objects; kernel-flags consumes compile_commands.json directly. The
+rule table (names, scopes, exemptions) is in imap_check.py's docstring.
 """
 
 from __future__ import annotations
@@ -54,6 +17,9 @@ from cpp_ast import FLOAT_TYPES, is_allocating_type, is_float_literal
 
 HOT_DIRS = ("src/nn/", "src/rl/", "src/attack/", "src/serve/",
             "src/scenario/")
+# Layers whose results must not depend on hash-table layout.
+NUMERIC_DIRS = ("src/nn/", "src/rl/", "src/core/", "src/phys/", "src/attack/",
+                "src/defense/", "src/env/", "src/serve/", "src/scenario/")
 
 PARALLEL_ENTRY = {"parallel_for", "parallel_for_chunked", "submit"}
 
@@ -71,15 +37,16 @@ FIXITS = {
         "— Rng::split is seed-pure, engine draws are schedule-ordered"
     ),
     "nondet-source": (
-        "all randomness flows through imap::Rng and all timing through the "
-        "bench layer; wall-clock or libc randomness in src/ breaks "
+        "all randomness flows through imap::Rng (derive child streams with "
+        "Rng::split) and all timing through the bench layer; libc or <random> "
+        "engines anywhere, or wall-clock reads in src/, break "
         "seed-reproducibility"
     ),
     "hot-loop-alloc": (
         "hoist the allocating declaration out of the loop and reuse it "
         "(resize/assign on a caller-owned buffer, Batch, or Mlp::Workspace); "
-        "the src/nn, src/rl, src/attack and src/serve hot paths must be "
-        "allocation-free in steady state"
+        "the " + ", ".join(d.rstrip("/") for d in HOT_DIRS) +
+        " hot paths must be allocation-free in steady state"
     ),
     "float-eq": (
         "exact floating-point comparison is brittle; compare with a "
@@ -101,6 +68,23 @@ FIXITS = {
         "fused multiply-add performs one rounding where the scalar reference "
         "performs two; use separate mul/add intrinsics (see nn/kernel_*.cpp) "
         "or allowlist a deliberately-fused site"
+    ),
+    "unordered-iter": (
+        "iteration order of unordered containers is nondeterministic; use "
+        "std::map/std::set, or copy+sort the keys before iterating"
+    ),
+    "raw-thread": (
+        "use imap::ThreadPool / parallel_for (src/common/thread_pool.h); raw "
+        "threads bypass IMAP_THREADS and the determinism controls"
+    ),
+    "pragma-once": "add #pragma once as the first directive of the header",
+    "using-ns-header": (
+        "remove `using namespace` from the header; qualify names instead "
+        "(headers leak it into every includer)"
+    ),
+    "parent-include": (
+        'include project headers relative to src/ (e.g. "common/rng.h"), not '
+        "via parent-relative paths"
     ),
     "ipc-framing": (
         "serialize the object into an Archive section (BinaryWriter) and "
@@ -301,17 +285,20 @@ def check_rng_parallel(model):
     return findings
 
 
-NONDET_CALLEES = {"rand", "srand", "time", "clock", "gettimeofday",
-                  "timespec_get", "getrandom"}
+RNG_CALLEES = {"rand", "srand", "getrandom"}
+CLOCK_CALLEES = {"time", "clock", "gettimeofday", "timespec_get"}
 NONDET_TYPES = {"random_device", "mt19937", "mt19937_64", "minstd_rand",
                 "minstd_rand0", "ranlux24", "ranlux48", "knuth_b",
                 "default_random_engine"}
 
 
 def check_nondet_source(model, relpath: str, home_exempt=()):
+    """Libc and <random> randomness everywhere (outside the Rng home);
+    wall-clock reads in src/ only — bench/ and tests/ time things."""
     findings = []
     if relpath in home_exempt:
         return findings
+    clock_too = relpath.startswith("src/")
     seen_lines = set()
     for t in model.tokens:
         if t.kind != "ident":
@@ -326,17 +313,134 @@ def check_nondet_source(model, relpath: str, home_exempt=()):
                 "src/common/rng.*"))
     for c in model.calls:
         # bare or std::-qualified only — obj.time() is somebody's member
-        if c.callee in NONDET_CALLEES and c.recv in ("", "std::", "::"):
+        free_call = c.recv in ("", "std::", "::")
+        if free_call and (c.callee in RNG_CALLEES or
+                          clock_too and c.callee in CLOCK_CALLEES):
             if c.line in seen_lines:
                 continue
             seen_lines.add(c.line)
             findings.append(Finding(
                 model.path, c.line, "nondet-source",
                 f"nondeterminism source `{c.recv}{c.callee}()`"))
-        elif c.callee == "now" and ("clock" in c.recv or "chrono" in c.recv):
+        elif clock_too and c.callee == "now" and \
+                ("clock" in c.recv or "chrono" in c.recv):
             findings.append(Finding(
                 model.path, c.line, "nondet-source",
                 f"wall-clock read `{c.recv}now()`"))
+    return findings
+
+
+# ---------------------------------------------------------------------------
+# unordered-iter + raw-thread
+# ---------------------------------------------------------------------------
+
+UNORDERED_RE = re.compile(
+    r"^(?:std::)?unordered_(?:map|set|multimap|multiset)<")
+
+
+def _expr_type(model, scope, toks) -> str:
+    """Type of an expression token range via the parser's oracle."""
+    p = cpp_ast.Parser.__new__(cpp_ast.Parser)
+    p.model = model
+    return p.infer_expr_type(toks, scope)
+
+
+def _iterated_range(hdr):
+    """Tokens of the container a `for` header walks: the range of a
+    range-for, or the receiver of `X.begin()`/`X.cbegin()` in its init."""
+    depth = 0
+    for k, t in enumerate(hdr):
+        if t.text in "([{":
+            depth += 1
+        elif t.text in ")]}":
+            depth -= 1
+        elif t.text == ";":
+            break
+        elif t.text == ":" and depth == 0:
+            rng = hdr[k + 1:]
+            return rng[1:] if rng and rng[0].text == "&" else rng
+        elif t.text in ("begin", "cbegin") and k >= 2 and \
+                hdr[k - 1].text in (".", "->") and \
+                k + 1 < len(hdr) and hdr[k + 1].text == "(":
+            j = k - 1
+            while j >= 1 and hdr[j].text in (".", "->", "::") and \
+                    hdr[j - 1].kind == "ident":
+                j -= 2
+            return hdr[j + 1:k - 1]
+    return []
+
+
+def check_unordered_iter(model, relpath: str):
+    """A `for` loop over an unordered container in a numeric layer: its
+    visit order is hash layout, not program order."""
+    findings = []
+    if not relpath.startswith(NUMERIC_DIRS):
+        return findings
+    for hdr, scope in model.for_headers:
+        rng = _iterated_range(hdr)
+        if not rng:
+            continue
+        ty = model.resolve_alias(_expr_type(model, scope, rng))
+        if UNORDERED_RE.match(ty):
+            findings.append(Finding(
+                model.path, rng[0].line, "unordered-iter",
+                f"iteration over unordered container "
+                f"`{cpp_ast.join_tokens(rng)}` in a numeric code path"))
+    return findings
+
+
+def check_raw_thread(model, relpath: str, home_exempt=()):
+    """std::thread / std::jthread / std::async / .detach() outside the pool.
+    `std::thread::hardware_concurrency()` is a query, not a thread."""
+    findings = []
+    if relpath in home_exempt:
+        return findings
+    toks = model.tokens
+    seen = set()
+    for k, t in enumerate(toks):
+        if t.kind != "ident" or t.line in seen:
+            continue
+        nxt = toks[k + 1].text if k + 1 < len(toks) else ""
+        prev = toks[k - 1].text if k >= 1 else ""
+        std = k >= 2 and prev == "::" and toks[k - 2].text == "std"
+        if std and (t.text == "async" or
+                    t.text in ("thread", "jthread") and nxt != "::"):
+            what = f"std::{t.text}"
+        elif t.text == "detach" and prev in (".", "->") and nxt == "(":
+            what = f"{prev}detach()"
+        else:
+            continue
+        seen.add(t.line)
+        findings.append(Finding(
+            model.path, t.line, "raw-thread",
+            f"raw threading primitive `{what}` outside "
+            "src/common/thread_pool.*"))
+    return findings
+
+
+# ---------------------------------------------------------------------------
+# header hygiene: pragma-once, using-ns-header, parent-include
+# ---------------------------------------------------------------------------
+
+PRAGMA_ONCE_RE = re.compile(r"^#\s*pragma\s+once\b")
+PARENT_INCLUDE_RE = re.compile(r'^#\s*include\s*"(?:\.\./|.*/\.\./)')
+
+
+def check_header_hygiene(model, relpath: str):
+    findings = []
+    if relpath.endswith((".h", ".hpp")):
+        if not any(PRAGMA_ONCE_RE.match(d) for _, d in model.directives):
+            findings.append(Finding(model.path, 1, "pragma-once",
+                                    "header is missing #pragma once"))
+        toks = model.tokens
+        for k, t in enumerate(toks[:-1]):
+            if t.text == "using" and toks[k + 1].text == "namespace":
+                findings.append(Finding(model.path, t.line, "using-ns-header",
+                                        "`using namespace` in a header"))
+    for line, d in model.directives:
+        if PARENT_INCLUDE_RE.match(d):
+            findings.append(Finding(model.path, line, "parent-include",
+                                    "parent-relative #include"))
     return findings
 
 
@@ -438,22 +542,14 @@ def _operand_type(model, parser_scope, toks):
     """(type, is_literal) for a comparison operand."""
     if len(toks) == 1 and toks[0].kind == "num":
         return ("double" if is_float_literal(toks[0].text) else "int"), True
-    p = cpp_ast.Parser.__new__(cpp_ast.Parser)
-    p.model = model
-    t = p.infer_expr_type(toks, parser_scope)
-    return t, False
+    return _expr_type(model, parser_scope, toks), False
 
 
 def check_float_eq(model):
     findings = []
     for c in model.cmps:
-        if c.lhs_type is not None or c.rhs_type is not None:
-            # clang frontend: operand types come straight from the AST
-            lt, l_lit = c.lhs_type or "", bool(c.lhs_lit)
-            rt, r_lit = c.rhs_type or "", bool(c.rhs_lit)
-        else:
-            lt, l_lit = _operand_type(model, c.scope, c.lhs)
-            rt, r_lit = _operand_type(model, c.scope, c.rhs)
+        lt, l_lit = _operand_type(model, c.scope, c.lhs)
+        rt, r_lit = _operand_type(model, c.scope, c.rhs)
         l_float = lt in FLOAT_TYPES
         r_float = rt in FLOAT_TYPES
         if l_lit and l_float and not r_lit:
@@ -626,7 +722,7 @@ def _extract_ops(model, fn_scope, mode: str):
 def check_serialize_symmetry(model, relpath: str = ""):
     findings = []
 
-    # Header-declaration asymmetry (shared semantics with imap_lint):
+    # Header-declaration asymmetry:
     # a header declaring one side of the pair can never round-trip.
     if relpath.endswith((".h", ".hpp")):
         saves = [t for t in model.tokens

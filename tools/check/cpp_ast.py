@@ -1,18 +1,16 @@
 #!/usr/bin/env python3
-"""cpp_ast — the built-in C++ frontend for imap_check.
+"""cpp_ast — the C++ frontend of imap_check.
 
 Produces a TuModel (scope tree + declarations + calls + comparisons + type
-oracle) from a single C++ source file, with no compiler dependency. This is
-the hermetic fallback frontend: when a clang++ binary is available,
-clang_ast.py builds the same TuModel from `clang++ -Xclang -ast-dump=json`
-instead (driven by the per-TU flags in compile_commands.json), and the checks
-in checks.py are frontend-agnostic.
+oracle) from a single C++ source file, with no compiler dependency.
 
-What this frontend models (enough for the five imap_check rules, far beyond
-what a line regex can see):
+What this frontend models (enough for the imap_check rules, far beyond what
+a line regex can see):
 
   * a real tokenizer: comments, string/char/raw-string literals and
     preprocessor lines can never produce tokens, so no string false positives;
+  * the preprocessor directives themselves, as (line, text) pairs with
+    comments stripped, for the include and pragma rules;
   * a scope tree: namespace / class / function / lambda / loop / conditional /
     block nesting, with lambda arguments attached to the call that receives
     them (`parallel_for(n, [&](std::size_t i){ ... })`);
@@ -22,9 +20,11 @@ what a line regex can see):
     sugar-hidden `std::vector<double>` declarations are visible;
   * member calls with receiver expressions (`slots_[i].rng.split(g)`),
     kept in token order;
-  * `==`/`!=` comparisons with both operand ranges, typed by the oracle.
+  * `==`/`!=` comparisons with both operand ranges, typed by the oracle;
+  * `for` headers with their enclosing scope, for the iteration-order rule.
 
-Preprocessor handling: directives never produce tokens; `#if/#ifdef` chains
+Preprocessor handling: directives never produce tokens (every directive,
+live branch or not, is recorded in TuModel.directives); `#if/#ifdef` chains
 keep their first branch and blank `#else`/`#elif` branches (each branch is
 internally brace-balanced in this tree), except a literal `#if 0`, whose else
 branch is kept instead.
@@ -138,17 +138,19 @@ def _strip_comments(text: str) -> list[str]:
     return ["".join(l) for l in out]
 
 
-def _preprocess(lines: list[str]) -> list[str]:
-    """Blank preprocessor lines; keep the first live branch of #if chains."""
+def _preprocess(lines: list[str], directives: list) -> list[str]:
+    """Blank preprocessor lines, appending each directive's (line, text) to
+    `directives`; keep the first live branch of #if chains."""
     out: list[str] = []
     # stack of dicts: {'keeping': bool, 'taken': bool}
     stack: list[dict] = []
     cont = False  # previous line ended with backslash (directive continuation)
-    for raw in lines:
+    for lineno, raw in enumerate(lines, 1):
         stripped = raw.lstrip()
         is_directive = cont or stripped.startswith("#")
         cont = is_directive and raw.rstrip().endswith("\\")
         if is_directive and stripped.startswith("#"):
+            directives.append((lineno, stripped.rstrip()))
             d = stripped[1:].lstrip()
             if d.startswith(("if", "ifdef", "ifndef")):
                 cond = d.split(None, 1)[1].strip() if " " in d else ""
@@ -202,9 +204,9 @@ def _scan_literal(line: str, pos: int, quote: str) -> int:
     return n
 
 
-def lex(text: str) -> list[Token]:
+def lex(text: str, directives: list) -> list[Token]:
     lines = _strip_comments(text)
-    lines = _preprocess(lines)
+    lines = _preprocess(lines, directives)
     toks: list[Token] = []
     for lineno, line in enumerate(lines, 1):
         pos = 0
@@ -311,8 +313,7 @@ class Call:
 
 
 class Cmp:
-    __slots__ = ("op", "line", "scope", "lhs", "rhs", "lhs_type", "rhs_type",
-                 "lhs_lit", "rhs_lit")
+    __slots__ = ("op", "line", "scope", "lhs", "rhs")
 
     def __init__(self, op, line, scope, lhs, rhs):
         self.op = op               # '==' or '!='
@@ -320,12 +321,6 @@ class Cmp:
         self.scope = scope
         self.lhs = lhs             # list[Token]
         self.rhs = rhs             # list[Token]
-        # pre-resolved operand facts (clang frontend); None = infer from
-        # tokens via the builtin oracle
-        self.lhs_type = None
-        self.rhs_type = None
-        self.lhs_lit = None
-        self.rhs_lit = None
 
 
 class TuModel:
@@ -341,7 +336,9 @@ class TuModel:
         self.func_returns: dict[str, str] = {}  # last-name -> return type
         self.classes: dict[str, Scope] = {}     # class name -> scope
         self.tokens: list[Token] = []
-        self.frontend = "builtin"
+        self.directives: list[tuple[int, str]] = []  # (line, '#...' text)
+        # `for` headers: (header tokens, scope enclosing the loop)
+        self.for_headers: list[tuple[list[Token], Scope]] = []
 
     # -- type oracle -------------------------------------------------------
 
@@ -390,11 +387,6 @@ API_RETURNS = {
 }
 
 FLOAT_TYPES = {"double", "float", "long double"}
-INT_TYPES = {"int", "long", "short", "char", "bool", "std::size_t", "size_t",
-             "std::uint64_t", "std::int64_t", "std::uint32_t", "std::int32_t",
-             "std::uint16_t", "std::int16_t", "std::uint8_t", "std::int8_t",
-             "uint64_t", "int64_t", "uint32_t", "int32_t", "unsigned",
-             "std::ptrdiff_t", "long long", "unsigned long", "unsigned int"}
 
 
 def join_tokens(toks) -> str:
@@ -551,7 +543,7 @@ def is_allocating_type(canon: str) -> bool:
 class Parser:
     def __init__(self, path: str, text: str):
         self.model = TuModel(path)
-        self.toks = lex(text)
+        self.toks = lex(text, self.model.directives)
         self.model.tokens = self.toks
         self.next_scope_id = 1
 
@@ -611,6 +603,8 @@ class Parser:
                         # conditions are part of the model
                         self._scan_cmps(hdr, current())
                         self._scan_header_calls(hdr, current())
+                        if ctrl["kw"] == "for":
+                            self.model.for_headers.append((hdr, current()))
                         ctrl = None
                         stmt_start = i + 1
                         i += 1
@@ -1365,14 +1359,11 @@ def merge_model(dst: TuModel, src: TuModel) -> None:
         dst.func_returns.setdefault(name, ret)
 
 
-def parse_file(path: str, text: str | None = None,
+def parse_file(path: str, text: str,
                seed: TuModel | None = None) -> TuModel:
     """Parse one file. `seed` pre-loads cross-TU facts (header classes,
     aliases, return types) into the parser so auto-inference and member
     typing can use them *during* the parse, not just after a merge."""
-    if text is None:
-        with open(path, encoding="utf-8", errors="replace") as fh:
-            text = fh.read()
     p = Parser(path, text)
     if seed is not None:
         merge_model(p.model, seed)

@@ -15,7 +15,7 @@ double clean_fixture(double a, double b) {
   double total = 0.0;
   for (const auto& kv : ordered) total += kv.second;
   if (std::abs(a - b) <= 1e-9) total += 1.0;      // tolerance compare is fine
-  const bool sentinel = (a == 0.0);  // imap-lint: allow(float-eq) exact sentinel
+  const bool sentinel = (a == 0.0);  // imap-check: allow(float-eq) exact sentinel
   return sentinel ? total : total + b;
 }
 

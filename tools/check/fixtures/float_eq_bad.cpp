@@ -1,5 +1,5 @@
-// Fixture: floating equality on computed expressions — type information the
-// regex linter lacks (it only sees float *literals*). Every marked line must
+// Fixture: floating equality on computed expressions — no float *literal*
+// in sight, so only the typed operands reveal it. Every marked line must
 // trip float-eq.
 #include <cmath>
 #include <vector>

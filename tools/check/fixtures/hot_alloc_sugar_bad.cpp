@@ -1,4 +1,4 @@
-// Fixture: allocations the regex linter cannot resolve — typedef sugar,
+// Fixture: allocations no line regex can resolve — typedef sugar,
 // `auto` with an allocating initializer, std::string. Linted under a
 // src/nn/ path, every marked line must trip hot-loop-alloc.
 #include <cstddef>

@@ -1,54 +1,51 @@
 #!/usr/bin/env python3
-"""imap_check — AST-grade determinism analyzer for the imap codebase.
+"""imap_check — the determinism and build-contract analyzer for imap.
 
-Semantic successor to the regex linter (tools/lint/imap_lint.py): where the
-linter pattern-matches lines, imap_check analyzes real program structure —
-scope nesting, lambda-to-call attachment, alias-resolved declaration types,
-typed comparisons, serialize op sequences — and enforces the build-flag
-contract recorded in compile_commands.json. The two tools share the
-allowlist / inline-suppression format and agree on the rules they both
-implement (pinned by tools/check/test_imap_check.py).
+Parses every C++ file with the hermetic frontend in cpp_ast.py (scope
+nesting, lambda-to-call attachment, alias-resolved declaration types, typed
+comparisons, serialize op sequences, preprocessor directives) and checks the
+rules below, plus the build-flag contract recorded in compile_commands.json.
 
-Checks (see checks.py for the full semantics):
+Rules, by scope ("home" files implement the sanctioned mechanism and are
+exempt; DESIGN.md "Correctness analysis layer" says what each protects):
 
-  rng-parallel        Rng draws reachable from a parallel_for / submit lambda
-                      must go through a slot-keyed Rng::split.
-  nondet-source       rand/random_device/mt19937/wall-clock reads banned in src/.
-  hot-loop-alloc      allocating declarations inside loops in hot-path layers,
-                      resolved through typedefs, `auto`, and std::string.
-  float-eq            ==/!= on floating expressions, typed via the AST.
-  serialize-symmetry  save_state/load_state field sequences must mirror,
-                      member by member, grouped per archive section.
-  kernel-flags        every kernel TU carries -ffp-contract=off (+-mno-fma on
-                      x86) and exactly its declared ISA flags in
-                      compile_commands.json.
-  fma-intrinsic       FMA intrinsics / std::fma banned outside allowlisted
-                      sites.
-  ipc-framing         raw `write(fd, &struct, sizeof ...)`-style descriptor
-                      I/O banned in src/; cross-process messages go through
-                      Archive sections framed by proc::Channel.
+  rng-parallel        all   Rng draws in parallel_for/submit lambdas (also
+                            via TU-local helpers) must use a slot-keyed split
+  nondet-source       all   rand/srand/getrandom, random_device, <random>
+                            engines (home src/common/rng.*); in src/ also
+                            wall-clock reads (chrono now, time, clock, ...)
+  unordered-iter      src/{nn,rl,core,phys,attack,defense,env,serve,scenario}
+                            `for` over a typed std::unordered_* container
+  raw-thread          all   std::thread/jthread (not their static queries),
+                            std::async, .detach()
+                            (home src/common/thread_pool.*)
+  hot-loop-alloc      src/{nn,rl,attack,serve,scenario}  allocating
+                            declarations in loops, through aliases and auto
+  float-eq            all   ==/!= against a float literal or between two
+                            floating-typed computed expressions
+  serialize-symmetry  all   one-sided save_state/load_state headers; bodies
+                            whose per-section field sequences differ
+  fma-intrinsic       src/  FMA intrinsics and std::fma
+  ipc-framing         src/  raw `write(fd, &obj, sizeof obj)`-style I/O
+                            (home src/common/proc.*)
+  pragma-once         headers without #pragma once
+  using-ns-header     headers with `using namespace`
+  parent-include      all   #include "../..."
+  kernel-flags        compile_commands.json: every kernel TU carries
+                            -ffp-contract=off (+ -mno-fma on x86) and
+                            exactly its declared ISA flags
 
-Frontends:
+Tree scan:
 
-  * clang   — `clang++ -fsyntax-only -Xclang -ast-dump=json` per TU, flags
-              taken verbatim from compile_commands.json (highest fidelity).
-  * builtin — the hermetic tokenizer/parser in cpp_ast.py (no compiler
-              dependency; what CI uses in containers without LLVM).
-  * auto    — clang when a working clang++ exists, builtin otherwise; a TU
-              whose clang parse fails falls back to builtin with a warning.
+  With no paths, every .h/.hpp/.cpp/.cc/.cxx file on disk under src/,
+  bench/ and tests/ is analyzed. The scan REQUIRES compile_commands.json
+  (default: <root>/build/compile_commands.json, see --compdb) for the
+  kernel-flags contract; a missing or stale database is a hard error with a
+  re-run recipe.
 
-Compilation database:
+Suppression:
 
-  The tree scan REQUIRES compile_commands.json (default:
-  <root>/build/compile_commands.json, see --compdb). A missing or stale
-  database is a hard error with a re-run recipe — the kernel-flags contract
-  can only be checked against what the build actually does.
-
-Suppression (shared format with imap_lint):
-
-  * inline:     // imap-check: allow(rule-name)
-                (// imap-lint: allow(rule-name) is honored for the rules the
-                two tools share, so a site is never annotated twice)
+  * inline:     // imap-check: allow(rule-name[, rule-name...])
   * allowlist:  tools/check/check_allowlist.txt — `rule-name  path-glob`
                 lines, fnmatch against the repo-relative posix path.
 
@@ -63,7 +60,6 @@ import json
 import os
 import platform
 import re
-import shutil
 import sys
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -73,18 +69,15 @@ import checks     # noqa: E402
 import cpp_ast    # noqa: E402
 
 SUPPRESS_RE = re.compile(
-    r"imap-(?:check|lint):\s*allow\(([a-z0-9-]+(?:\s*,\s*[a-z0-9-]+)*)\)")
-
-# Rules also implemented by imap_lint: an `imap-lint: allow(...)` suppression
-# is honored for these (one annotation per site, never two).
-LINT_SHARED = {"float-eq", "hot-loop-alloc", "serialize-symmetry"}
-LINT_RULE_MAP = {"rng-discipline": "nondet-source"}
+    r"imap-check:\s*allow\(([a-z0-9-]+(?:\s*,\s*[a-z0-9-]+)*)\)")
 
 CXX_EXTENSIONS = {".h", ".hpp", ".cpp", ".cc", ".cxx"}
+TREE_DIRS = ("src", "bench", "tests")
 
 # Sanctioned homes exempt from the corresponding rule (they implement it).
 RULE_HOME = {
     "nondet-source": ("src/common/rng.h", "src/common/rng.cpp"),
+    "raw-thread": ("src/common/thread_pool.h", "src/common/thread_pool.cpp"),
     "ipc-framing": ("src/common/proc.h", "src/common/proc.cpp"),
 }
 
@@ -166,19 +159,8 @@ def load_compdb(path: str, root: str):
 
 
 # ---------------------------------------------------------------------------
-# frontends
+# parsing
 # ---------------------------------------------------------------------------
-
-def find_clang() -> str | None:
-    exe = os.environ.get("IMAP_CLANG")
-    if exe:
-        return exe if shutil.which(exe) else None
-    for name in ("clang++", "clang++-18", "clang++-17", "clang++-16",
-                 "clang++-15", "clang++-14"):
-        if shutil.which(name):
-            return name
-    return None
-
 
 # relpath -> (parsed header model, its own project includes)
 _header_cache: dict[str, tuple] = {}
@@ -194,10 +176,9 @@ def _project_includes(root: str, text: str):
 
 
 def parse_with_headers(root: str, relpath: str) -> "cpp_ast.TuModel":
-    """Builtin-frontend parse of one file, with cross-TU facts (class member
-    types, aliases, return types) merged in from its project headers,
-    followed transitively — the micro-frontend's stand-in for real header
-    inclusion."""
+    """Parse one file, with cross-TU facts (class member types, aliases,
+    return types) merged in from its project headers, followed transitively
+    — the frontend's stand-in for real header inclusion."""
     ap = os.path.join(root, relpath)
     with open(ap, encoding="utf-8", errors="replace") as fh:
         text = fh.read()
@@ -224,31 +205,6 @@ def parse_with_headers(root: str, relpath: str) -> "cpp_ast.TuModel":
         cpp_ast.merge_model(seed, hmodel)
         queue.extend(hincs)
     return cpp_ast.parse_file(relpath, text, seed=seed)
-
-
-def build_model(root: str, relpath: str, frontend: str, compdb_entry,
-                clang_exe: str | None):
-    """Build a TuModel with the selected frontend. Headers and frontend
-    'builtin' use the micro parser; 'clang'/'auto' use the JSON AST dump when
-    possible, falling back to builtin on any failure."""
-    use_clang = (frontend in ("clang", "auto") and clang_exe is not None and
-                 compdb_entry is not None and relpath.endswith(".cpp"))
-    if use_clang:
-        try:
-            import clang_ast
-            base = parse_with_headers(root, relpath)
-            model = clang_ast.parse_tu(clang_exe, compdb_entry, root, relpath,
-                                       base=base)
-            if model is not None:
-                return model, "clang"
-        except Exception as e:  # noqa: BLE001 — any clang failure => builtin
-            if frontend == "clang":
-                print(f"imap_check: clang frontend failed on {relpath}: {e}",
-                      file=sys.stderr)
-                sys.exit(2)
-            print(f"imap_check: note: clang frontend failed on {relpath} "
-                  f"({e}); using builtin frontend", file=sys.stderr)
-    return parse_with_headers(root, relpath), "builtin"
 
 
 # ---------------------------------------------------------------------------
@@ -287,9 +243,7 @@ def suppressed_lines(root: str, relpath: str):
             for lineno, raw in enumerate(fh, 1):
                 m = SUPPRESS_RE.search(raw)
                 if m:
-                    rules = {r.strip() for r in m.group(1).split(",")}
-                    mapped = {LINT_RULE_MAP.get(r, r) for r in rules}
-                    out[lineno] = rules | mapped
+                    out[lineno] = {r.strip() for r in m.group(1).split(",")}
     except OSError:
         pass
     return out
@@ -299,10 +253,8 @@ def suppressed_lines(root: str, relpath: str):
 # per-file analysis
 # ---------------------------------------------------------------------------
 
-def analyze_file(root: str, relpath: str, frontend: str, compdb_entry,
-                 clang_exe):
-    model, used = build_model(root, relpath, frontend, compdb_entry,
-                              clang_exe)
+def analyze_file(root: str, relpath: str):
+    model = parse_with_headers(root, relpath)
     findings = []
     findings += checks.check_rng_parallel(model)
     findings += checks.check_nondet_source(
@@ -313,38 +265,30 @@ def analyze_file(root: str, relpath: str, frontend: str, compdb_entry,
     findings += checks.check_fma_intrinsics(model, relpath)
     findings += checks.check_ipc_framing(
         model, relpath, home_exempt=RULE_HOME["ipc-framing"])
+    findings += checks.check_unordered_iter(model, relpath)
+    findings += checks.check_raw_thread(
+        model, relpath, home_exempt=RULE_HOME["raw-thread"])
+    findings += checks.check_header_hygiene(model, relpath)
 
     sup = suppressed_lines(root, relpath)
-    kept = [f for f in findings if f.rule not in sup.get(f.line, set())]
-    return kept, used
+    return [f for f in findings if f.rule not in sup.get(f.line, set())]
 
 
-def collect_sources(root: str, compdb) -> list[str]:
-    """Repo-relative paths of everything the tree scan analyzes: all src/
-    TUs in the database plus all src/ headers."""
+def collect_files(root: str, paths) -> list[str]:
+    """Repo-relative posix paths of every C++ file under `paths` (files or
+    directories, relative to root or absolute)."""
     rels = set()
-    for entry in compdb:
-        f = os.path.normpath(
-            os.path.join(entry.get("directory", ""), entry["file"]))
-        rel = os.path.relpath(f, root).replace(os.sep, "/")
-        if rel.startswith("src/"):
-            rels.add(rel)
-    src_root = os.path.join(root, "src")
-    for dirpath, _dirnames, filenames in os.walk(src_root):
-        for fn in sorted(filenames):
-            if os.path.splitext(fn)[1] in (".h", ".hpp"):
-                rels.add(os.path.relpath(os.path.join(dirpath, fn),
-                                         root).replace(os.sep, "/"))
+    for p in paths:
+        ap = p if os.path.isabs(p) else os.path.join(root, p)
+        if os.path.isfile(ap):
+            rels.add(os.path.relpath(ap, root).replace(os.sep, "/"))
+            continue
+        for dirpath, _dirnames, filenames in os.walk(ap):
+            for fn in filenames:
+                if os.path.splitext(fn)[1] in CXX_EXTENSIONS:
+                    rels.add(os.path.relpath(os.path.join(dirpath, fn),
+                                             root).replace(os.sep, "/"))
     return sorted(rels)
-
-
-def compdb_by_rel(root: str, compdb) -> dict:
-    out = {}
-    for entry in compdb:
-        f = os.path.normpath(
-            os.path.join(entry.get("directory", ""), entry["file"]))
-        out[os.path.relpath(f, root).replace(os.sep, "/")] = entry
-    return out
 
 
 def main(argv) -> int:
@@ -358,15 +302,12 @@ def main(argv) -> int:
                          "<root>/build/compile_commands.json; 'none' to "
                          "skip the database-driven checks — only valid with "
                          "explicit paths)")
-    ap.add_argument("--frontend", choices=("auto", "builtin", "clang"),
-                    default="auto",
-                    help="AST frontend (auto: clang++ if available)")
     ap.add_argument("--allowlist", default=None,
                     help="allowlist file (default "
                          "<root>/tools/check/check_allowlist.txt)")
     ap.add_argument("paths", nargs="*",
-                    help="files to analyze (default: all src/ TUs in the "
-                         "compilation database + all src/ headers)")
+                    help="files or directories to analyze (default: every "
+                         "C++ file under " + ", ".join(TREE_DIRS) + ")")
     args = ap.parse_args(argv)
 
     root = os.path.abspath(args.root)
@@ -385,54 +326,25 @@ def main(argv) -> int:
     else:
         compdb = load_compdb(compdb_path, root)
 
-    clang_exe = find_clang() if args.frontend in ("auto", "clang") else None
-    if args.frontend == "clang" and clang_exe is None:
-        print("imap_check: --frontend clang but no clang++ found "
-              "(set IMAP_CLANG or install clang)", file=sys.stderr)
+    missing = [p for p in args.paths if not os.path.exists(
+        p if os.path.isabs(p) else os.path.join(root, p))]
+    if missing:
+        print(f"imap_check: no such path: {', '.join(missing)}",
+              file=sys.stderr)
         return 2
+    files = collect_files(root, args.paths or TREE_DIRS)
 
-    if args.paths:
-        files = []
-        for p in args.paths:
-            ap_ = p if os.path.isabs(p) else os.path.join(root, p)
-            if os.path.isdir(ap_):
-                for dirpath, _d, fns in os.walk(ap_):
-                    for fn in sorted(fns):
-                        if os.path.splitext(fn)[1] in CXX_EXTENSIONS:
-                            files.append(os.path.relpath(
-                                os.path.join(dirpath, fn),
-                                root).replace(os.sep, "/"))
-            else:
-                files.append(os.path.relpath(ap_, root).replace(os.sep, "/"))
-    else:
-        files = collect_sources(root, compdb)
-
-    by_rel = compdb_by_rel(root, compdb) if compdb else {}
-
-    all_findings = []
-    frontends_used = set()
-    for rel in files:
-        kept, used = analyze_file(root, rel, args.frontend, by_rel.get(rel),
-                                  clang_exe)
-        frontends_used.add(used)
-        for f in kept:
-            if not allowed(entries, f.rule, f.path):
-                all_findings.append(f)
-
-    # database-driven checks (kernel flag contract)
-    if compdb is not None:
-        for f in checks.check_kernel_flags(compdb, root,
-                                           platform.machine().lower()):
-            if not allowed(entries, f.rule, f.path):
-                all_findings.append(f)
-
+    findings = [f for rel in files for f in analyze_file(root, rel)]
+    if compdb is not None:  # database-driven kernel flag contract
+        findings += checks.check_kernel_flags(compdb, root,
+                                              platform.machine().lower())
+    all_findings = [f for f in findings
+                    if not allowed(entries, f.rule, f.path)]
     all_findings.sort(key=lambda f: (f.path, f.line, f.rule))
     for f in all_findings:
         print(f)
     n = len(all_findings)
-    fe = "+".join(sorted(frontends_used)) or "none"
-    print(f"imap_check: {len(files)} files checked "
-          f"(frontend: {fe}), {n} finding(s)")
+    print(f"imap_check: {len(files)} files checked, {n} finding(s)")
     return 1 if n else 0
 
 

@@ -1,13 +1,11 @@
 #!/usr/bin/env python3
 """Self-test matrix for imap_check (tools/check).
 
-Mirrors the PR-2 lint harness (tools/lint/test_imap_lint.py): every check is
-pinned by a good/bad fixture pair under tools/check/fixtures/, suppression
-and allowlist semantics are exercised end-to-end, the CLI exit-code contract
-(0 clean / 1 findings / 2 usage-or-database error) is verified through
-subprocess runs, and a regression class asserts that imap_check and the
-regex linter agree fire/not-fire on the rules they both implement, using the
-*linter's own* fixtures as the shared corpus.
+Every rule is pinned by fixtures under tools/check/fixtures/ with their
+exact (rule, line) sets, suppression and allowlist semantics are exercised
+end-to-end, and the CLI exit-code contract (0 clean / 1 findings / 2
+usage-or-database error) and the src/ bench/ tests/ tree scan are verified
+through subprocess runs. Registered in ctest as check.ast.selftest.
 """
 
 import json
@@ -22,26 +20,20 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 REPO = os.path.dirname(os.path.dirname(HERE))
 FIXTURES = os.path.join(HERE, "fixtures")
 KERNEL_TREE = os.path.join(FIXTURES, "kernel_tree")
-LINT_DIR = os.path.join(REPO, "tools", "lint")
-LINT_FIXTURES = os.path.join(LINT_DIR, "fixtures")
 
 sys.path.insert(0, HERE)
-sys.path.insert(0, LINT_DIR)
 
 import checks      # noqa: E402
 import imap_check  # noqa: E402
-import imap_lint   # noqa: E402
 
 
-def check_fixture(filename, relpath, fixdir=FIXTURES, frontend="builtin"):
+def check_fixture(filename, relpath):
     """Analyze one fixture as if it lived at `relpath` in a scratch tree."""
     with tempfile.TemporaryDirectory() as tmp:
         dst = os.path.join(tmp, relpath)
         os.makedirs(os.path.dirname(dst), exist_ok=True)
-        shutil.copy(os.path.join(fixdir, filename), dst)
-        findings, used = imap_check.analyze_file(
-            tmp, relpath, frontend, None, None)
-    return findings
+        shutil.copy(os.path.join(FIXTURES, filename), dst)
+        return imap_check.analyze_file(tmp, relpath)
 
 
 def check_snippet(code, relpath):
@@ -51,9 +43,7 @@ def check_snippet(code, relpath):
         os.makedirs(os.path.dirname(dst), exist_ok=True)
         with open(dst, "w", encoding="utf-8") as fh:
             fh.write(code)
-        findings, _ = imap_check.analyze_file(tmp, relpath, "builtin",
-                                              None, None)
-    return findings
+        return imap_check.analyze_file(tmp, relpath)
 
 
 def rules_of(findings):
@@ -156,6 +146,23 @@ class TestSerializeSymmetry(unittest.TestCase):
                            "src/common/serialize_order_good.cpp")
         self.assertEqual(fs, [])
 
+    def test_header_declaring_one_side_only(self):
+        load_only = ("#pragma once\n"
+                     "struct S { void load_state(BinaryReader& r); };\n")
+        fs = check_snippet(load_only, "src/rl/x.h")
+        self.assertEqual([(f.rule, f.line) for f in fs],
+                         [("serialize-symmetry", 2)])
+        paired = ("#pragma once\n"
+                  "struct S {\n"
+                  "  void save_state(BinaryWriter& w) const;\n"
+                  "  void load_state(BinaryReader& r);\n"
+                  "};\n")
+        self.assertEqual(check_snippet(paired, "src/rl/x.h"), [])
+        # an implementation file may define one side; the other lives in
+        # another TU
+        one_side = "void S::save_state(BinaryWriter& w) const {}\n"
+        self.assertEqual(check_snippet(one_side, "src/rl/x.cpp"), [])
+
 
 class TestNondetSource(unittest.TestCase):
     def test_bad_fixture_flags_every_source(self):
@@ -168,6 +175,15 @@ class TestNondetSource(unittest.TestCase):
     def test_rng_home_is_exempt(self):
         fs = check_fixture("nondet_source_bad.cpp", "src/common/rng.cpp")
         self.assertEqual(lines_of(fs, "nondet-source"), [])
+
+    def test_outside_src_only_the_rng_half_applies(self):
+        # bench/ and tests/ time things, so only srand, std::rand,
+        # random_device and mt19937_64 fire there
+        for rel in ("bench/nondet_source_bad.cpp",
+                    "tests/nondet_source_bad.cpp"):
+            fs = check_fixture("nondet_source_bad.cpp", rel)
+            self.assertEqual(lines_of(fs, "nondet-source"),
+                             [17, 18, 22, 23], rel)
 
 
 class TestFmaIntrinsic(unittest.TestCase):
@@ -292,20 +308,6 @@ class TestSuppression(unittest.TestCase):
                                              "allow(hot-loop-alloc)")
         self.assertEqual(check_snippet(code, "src/nn/x.cpp"), [])
 
-    def test_imap_lint_allow_is_honored_for_shared_rules(self):
-        code = self.LOOP_ALLOC.replace("{}", "// imap-lint: "
-                                             "allow(hot-loop-alloc)")
-        self.assertEqual(check_snippet(code, "src/nn/x.cpp"), [])
-
-    def test_lint_rule_alias_maps_to_check_rule(self):
-        # the linter calls its nondet rule `rng-discipline`; an existing
-        # annotation under that name must silence nondet-source too
-        code = ("#include <cstdlib>\n"
-                "void f() {\n"
-                "  srand(42);  // imap-lint: allow(rng-discipline)\n"
-                "}\n")
-        self.assertEqual(check_snippet(code, "src/rl/x.cpp"), [])
-
     def test_unsuppressed_site_still_fires(self):
         fs = check_snippet(self.LOOP_ALLOC.replace("{}", ""), "src/nn/x.cpp")
         self.assertEqual(rules_of(fs), ["hot-loop-alloc"])
@@ -358,7 +360,6 @@ class TestCli(unittest.TestCase):
         with tempfile.TemporaryDirectory() as tmp:
             self.scratch_tree(tmp)
             r = run_cli(["--root", tmp, "--compdb", "none",
-                         "--frontend", "builtin",
                          "src/nn/hot_alloc_sugar_bad.cpp"])
         self.assertEqual(r.returncode, 1)
         self.assertIn("[hot-loop-alloc]", r.stdout)
@@ -368,7 +369,6 @@ class TestCli(unittest.TestCase):
         with tempfile.TemporaryDirectory() as tmp:
             self.scratch_tree(tmp)
             r = run_cli(["--root", tmp, "--compdb", "none",
-                         "--frontend", "builtin",
                          "src/nn/hot_alloc_sugar_good.cpp"])
         self.assertEqual(r.returncode, 0)
         self.assertIn("0 finding(s)", r.stdout)
@@ -426,80 +426,151 @@ class TestCli(unittest.TestCase):
                                        "compile_commands.json"),
                           "w", encoding="utf-8") as fh:
                     json.dump(db, fh)
-                r = run_cli(["--root", tmp, "--frontend", "builtin"])
+                r = run_cli(["--root", tmp])
             self.assertEqual(r.returncode, want,
                              f"{template}: {r.stdout}\n{r.stderr}")
             if want:
                 self.assertIn("[kernel-flags]", r.stdout)
 
 
-class TestLintAgreement(unittest.TestCase):
-    """imap_check and the regex linter must agree fire/not-fire on the rules
-    they both implement, over the *linter's* fixture corpus."""
-
-    # linter rule name -> imap_check rule name
-    SHARED = {
-        "float-eq": "float-eq",
-        "hot-loop-alloc": "hot-loop-alloc",
-        "serialize-symmetry": "serialize-symmetry",
-        "rng-discipline": "nondet-source",
-    }
-
-    def verdicts(self, filename, relpath):
-        with open(os.path.join(LINT_FIXTURES, filename),
-                  encoding="utf-8") as fh:
-            text = fh.read()
-        lint_rules = {f.rule for f in imap_lint.lint_file(relpath, text)}
-        chk_rules = set(rules_of(check_fixture(filename, relpath,
-                                               fixdir=LINT_FIXTURES)))
-        lint_shared = {self.SHARED[r] for r in lint_rules if r in self.SHARED}
-        chk_shared = {r for r in chk_rules if r in set(self.SHARED.values())}
-        return lint_shared, chk_shared
-
-    def assert_agree(self, filename, relpath, expect):
-        lint_shared, chk_shared = self.verdicts(filename, relpath)
-        self.assertEqual(lint_shared, expect,
-                         f"linter verdict drifted on {filename}")
-        self.assertEqual(chk_shared, expect,
-                         f"imap_check disagrees with linter on {filename}")
-
-    def test_float_eq_fixture(self):
-        self.assert_agree("bad_float_eq.cpp", "src/core/bad_float_eq.cpp",
-                          {"float-eq"})
-
-    def test_hot_alloc_fixture(self):
-        self.assert_agree("bad_hot_alloc.cpp", "src/nn/bad_hot_alloc.cpp",
-                          {"hot-loop-alloc"})
-
-    def test_rng_fixture(self):
-        self.assert_agree("bad_rng.cpp", "src/core/bad_rng.cpp",
-                          {"nondet-source"})
-
-    def test_serialize_fixture(self):
-        self.assert_agree("bad_serialize_asym.h",
-                          "src/rl/bad_serialize_asym.h",
-                          {"serialize-symmetry"})
-
-    def test_clean_fixture(self):
-        self.assert_agree("clean.cpp", "src/core/clean.cpp", set())
-
-
-@unittest.skipUnless(imap_check.find_clang(), "no clang++ on this machine")
-class TestClangFrontend(unittest.TestCase):
-    def test_clang_overlay_matches_builtin_verdicts(self):
+    @unittest.skipUnless(imap_check.machine_family() == "x86",
+                         "kernel tree fixture carries the x86 contract")
+    def test_tree_scan_covers_src_bench_tests(self):
         with tempfile.TemporaryDirectory() as tmp:
-            rel = "src/common/float_eq_bad.cpp"
-            dst = os.path.join(tmp, rel)
-            os.makedirs(os.path.dirname(dst), exist_ok=True)
-            shutil.copy(os.path.join(FIXTURES, "float_eq_bad.cpp"), dst)
-            entry = {"directory": tmp,
-                     "command": f"g++ -std=c++17 -c {rel} -o x.o",
-                     "file": rel}
-            fs, used = imap_check.analyze_file(
-                tmp, rel, "clang", entry, imap_check.find_clang())
-        self.assertEqual(used, "clang")
-        self.assertEqual(rules_of(fs), ["float-eq"])
-        self.assertEqual(lines_of(fs), [13, 17, 21, 23])
+            shutil.copytree(os.path.join(KERNEL_TREE, "src"),
+                            os.path.join(tmp, "src"))
+            os.makedirs(os.path.join(tmp, "build"))
+            with open(os.path.join(tmp, "build", "compile_commands.json"),
+                      "w", encoding="utf-8") as fh:
+                json.dump(kernel_compdb("compile_commands.good.json.in",
+                                        tmp), fh)
+            for rel, code in (
+                    ("bench/b.cpp", "bool f(double x) { return x == 0.5; }\n"),
+                    ("tests/t.cpp", "#include <random>\nstd::mt19937 g;\n"),
+                    ("tests/t.h", "int g();\n"),
+                    ("tools/x.cpp", "std::mt19937 g;\n")):
+                os.makedirs(os.path.dirname(os.path.join(tmp, rel)),
+                            exist_ok=True)
+                with open(os.path.join(tmp, rel), "w",
+                          encoding="utf-8") as fh:
+                    fh.write(code)
+            r = run_cli(["--root", tmp])
+        self.assertEqual(r.returncode, 1, r.stdout + r.stderr)
+        found = [l.split(" ", 2)[:2] for l in r.stdout.splitlines()
+                 if ": [" in l]
+        self.assertEqual(found, [["bench/b.cpp:1:", "[float-eq]"],
+                                 ["tests/t.cpp:2:", "[nondet-source]"],
+                                 ["tests/t.h:1:", "[pragma-once]"]])
+        self.assertIn("7 files checked, 3 finding(s)", r.stdout)
+
+
+# (fixture, relpath it is analyzed at, expected sorted (rule, line) pairs)
+FIXTURE_TABLE = [
+    ("bad_float_eq.cpp", "src/core/bad_float_eq.cpp",
+     [("float-eq", 3), ("float-eq", 4), ("float-eq", 5)]),
+    ("bad_float_eq.cpp", "bench/bad_float_eq.cpp",
+     [("float-eq", 3), ("float-eq", 4), ("float-eq", 5)]),
+    ("bad_rng.cpp", "src/core/bad_rng.cpp",
+     [("nondet-source", 6), ("nondet-source", 7), ("nondet-source", 8),
+      ("nondet-source", 9)]),
+    ("bad_rng.cpp", "tests/bad_rng.cpp",
+     [("nondet-source", 6), ("nondet-source", 7), ("nondet-source", 8),
+      ("nondet-source", 9)]),
+    ("bad_serialize_asym.h", "src/rl/bad_serialize_asym.h",
+     [("serialize-symmetry", 11)]),
+    ("bad_hot_alloc.cpp", "src/core/bad_hot_alloc.cpp", []),
+    ("bad_hot_alloc_collect.cpp", "src/rl/bad_hot_alloc_collect.cpp",
+     [("hot-loop-alloc", 14), ("hot-loop-alloc", 15), ("hot-loop-alloc", 21)]),
+    ("bad_hot_alloc_collect.cpp", "src/core/bad_hot_alloc_collect.cpp", []),
+    ("bad_hot_alloc_quant.cpp", "src/nn/bad_hot_alloc_quant.cpp",
+     [("hot-loop-alloc", 13), ("hot-loop-alloc", 14), ("hot-loop-alloc", 15),
+      ("hot-loop-alloc", 21)]),
+    ("bad_hot_alloc_scenario.cpp", "src/scenario/bad_hot_alloc_scenario.cpp",
+     [("hot-loop-alloc", 11), ("hot-loop-alloc", 19)]),
+    ("bad_hot_alloc_serve.cpp", "src/serve/bad_hot_alloc_serve.cpp",
+     [("hot-loop-alloc", 10), ("hot-loop-alloc", 18)]),
+    ("bad_thread.cpp", "src/core/bad_thread.cpp",
+     [("raw-thread", 6), ("raw-thread", 7), ("raw-thread", 8)]),
+    ("bad_thread.cpp", "tests/bad_thread.cpp",
+     [("raw-thread", 6), ("raw-thread", 7), ("raw-thread", 8)]),
+    ("bad_thread.cpp", "src/common/thread_pool.cpp", []),
+    ("bad_thread.cpp", "src/common/thread_pool.h", [("pragma-once", 1)]),
+    ("bad_unordered.cpp", "src/core/bad_unordered.cpp",
+     [("unordered-iter", 11), ("unordered-iter", 12)]),
+    ("bad_unordered.cpp", "tools/fixture/bad_unordered.cpp", []),
+    ("bad_header.h", "src/core/bad_header.h",
+     [("parent-include", 3), ("pragma-once", 1), ("using-ns-header", 5)]),
+    ("clean.cpp", "src/core/clean.cpp", []),
+    ("clean.h", "src/core/clean.h", []),
+]
+HOT_LAYERS = ("src/nn/", "src/rl/", "src/attack/", "src/serve/",
+              "src/scenario/")
+
+
+class TestFixtureTable(unittest.TestCase):
+    def test_fixture_table(self):
+        for filename, relpath, want in FIXTURE_TABLE:
+            fs = check_fixture(filename, relpath)
+            self.assertEqual(sorted((f.rule, f.line) for f in fs), want,
+                             f"{filename} at {relpath}")
+
+    def test_hot_alloc_fires_in_every_hot_layer(self):
+        # for-body, while-body, braceless for-body; the hoisted declaration
+        # and the reference inside a loop stay silent
+        for layer in HOT_LAYERS:
+            fs = check_fixture("bad_hot_alloc.cpp",
+                               layer + "bad_hot_alloc.cpp")
+            self.assertEqual(sorted((f.rule, f.line) for f in fs),
+                             [("hot-loop-alloc", 9), ("hot-loop-alloc", 14),
+                              ("hot-loop-alloc", 19)], layer)
+
+
+class TestPortedRules(unittest.TestCase):
+    """unordered-iter, raw-thread and the header rules beyond the fixtures."""
+
+    def test_hardware_concurrency_is_not_thread_creation(self):
+        code = ("#include <thread>\n"
+                "unsigned n() {\n"
+                "  return std::thread::hardware_concurrency();\n"
+                "}\n")
+        self.assertEqual(check_snippet(code, "src/rl/ppo.cpp"), [])
+
+    def test_comments_and_strings_never_fire(self):
+        code = ("// std::thread t; std::rand();\n"
+                "/* std::async\n t.detach(); */\n"
+                'const char* s = "std::random_device ../x.h";\n')
+        self.assertEqual(check_snippet(code, "src/core/x.cpp"), [])
+
+    def test_unordered_iteration_through_alias_and_member(self):
+        code = ("#include <unordered_map>\n"
+                "using Index = std::unordered_map<int, double>;\n"
+                "struct S {\n"
+                "  std::unordered_map<int, int> m_;\n"
+                "  double sum(const Index& idx) const;\n"
+                "};\n"
+                "double S::sum(const Index& idx) const {\n"
+                "  double t = 0.0;\n"
+                "  for (const auto& kv : idx) t += kv.second;\n"
+                "  for (auto it = m_.cbegin(); it != m_.cend(); ++it) t++;\n"
+                "  return t;\n"
+                "}\n")
+        fs = check_snippet(code, "src/core/s.cpp")
+        self.assertEqual(lines_of(fs, "unordered-iter"), [9, 10])
+
+    def test_ordered_iteration_is_silent(self):
+        code = ("#include <map>\n"
+                "double f(const std::map<int, double>& m) {\n"
+                "  double t = 0.0;\n"
+                "  for (const auto& kv : m) t += kv.second;\n"
+                "  return t;\n"
+                "}\n")
+        self.assertEqual(check_snippet(code, "src/core/x.cpp"), [])
+
+    def test_parent_include_applies_to_sources_too(self):
+        code = '#include "../common/rng.h"\nint x;\n'
+        fs = check_snippet(code, "tests/x.cpp")
+        self.assertEqual([(f.rule, f.line) for f in fs],
+                         [("parent-include", 1)])
 
 
 if __name__ == "__main__":

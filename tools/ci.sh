@@ -1,10 +1,12 @@
 #!/usr/bin/env bash
-# ci.sh — the one-shot correctness gate: build -> lint -> tier-1 ctest ->
-# bench smoke. Exits nonzero on the first failing stage. Also exposed as the
-# `ci` CMake target (`cmake --build build --target ci`).
+# ci.sh — the one-shot correctness gate: build -> static analysis -> tier-1
+# ctest -> ASan+UBSan trust-boundary suites -> end-to-end drills -> bench
+# smoke. Exits nonzero on the first failing stage. Also exposed as the `ci`
+# CMake target (`cmake --build build --target ci`).
 #
 # Environment:
-#   IMAP_CI_BUILD_DIR  build directory (default: build)
+#   IMAP_CI_BUILD_DIR  build directory (default: build); the sanitizer stage
+#                      builds into <build dir>-san
 #   IMAP_CI_WERROR     ON/OFF, build with -Werror hardening (default: ON)
 #   IMAP_CI_JOBS       parallel build/test jobs (default: nproc)
 set -u
@@ -31,11 +33,7 @@ cmake -S perfbench -B "${BUILD_DIR}/perfbench" \
 cmake --build "${BUILD_DIR}/perfbench" --target perfbench -j "${JOBS}" \
   || exit 1
 
-stage "lint"
-python3 tools/lint/imap_lint.py --root . src bench tests || exit 1
-python3 tools/lint/test_imap_lint.py || exit 1
-
-stage "check.ast (semantic determinism analyzer + build-flag contract)"
+stage "check.ast (determinism analyzer over src/ bench/ tests/ + build-flag contract)"
 # Hard-fails (exit 2) when compile_commands.json is missing or stale — the
 # kernel-flags contract is checked against what the build actually does.
 python3 tools/check/imap_check.py --root . \
@@ -44,6 +42,22 @@ python3 tools/check/test_imap_check.py || exit 1
 
 stage "tier-1 ctest"
 ctest --test-dir "${BUILD_DIR}" --output-on-failure -j "${JOBS}" || exit 1
+
+stage "sanitizers (ASan+UBSan over the trust-boundary suites)"
+# The suites that feed the system input it does not control — HTTP framing,
+# /infer requests through the server, scenario strings, checkpoint archives
+# and snapshots, fabric frames — plus the seeded numeric fuzz suite run under
+# AddressSanitizer + UndefinedBehaviorSanitizer; the first report aborts.
+SAN_DIR="${BUILD_DIR}-san"
+SUPP_DIR="$(pwd)/tools/sanitizers"
+cmake -B "${SAN_DIR}" -S . -DIMAP_SANITIZE=address,undefined || exit 1
+cmake --build "${SAN_DIR}" --target imap_tests -j "${JOBS}" || exit 1
+ASAN_OPTIONS="detect_leaks=1:abort_on_error=1:halt_on_error=1:suppressions=${SUPP_DIR}/asan.supp" \
+LSAN_OPTIONS="suppressions=${SUPP_DIR}/lsan.supp" \
+UBSAN_OPTIONS="print_stacktrace=1:halt_on_error=1:suppressions=${SUPP_DIR}/ubsan.supp" \
+  "${SAN_DIR}/tests/imap_tests" \
+  --gtest_filter='HttpParse.*:ServerTest.*:SerializeTest.*:SnapshotTest.*:ScenarioSpec.*:ScenarioEnv.*:Channel.*:Fuzz.*' \
+  || exit 1
 
 stage "checkpoint/resume (cross-process halt -> inspect -> resume)"
 # End-to-end drill of the Archive snapshot layer through real process
@@ -171,4 +185,4 @@ SERVE_RC=$?
 [ "${SERVE_RC}" -eq 0 ] || { echo "ci: imap_serve exit ${SERVE_RC}"; exit 1; }
 rm -rf "${SERVE_ZOO}" "${SERVE_LOG}" "${SERVE_LOG}".[1-4]
 
-stage "OK — build, lint, tier-1 tests, bench smoke, and serve drill all clean"
+stage "OK — build, static analysis, tier-1 tests, sanitizers, drills, bench smoke, and serve drill all clean"

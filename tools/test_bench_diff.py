@@ -1,0 +1,98 @@
+#!/usr/bin/env python3
+"""Self-test for bench_diff.py: the exit status over reference/candidate
+BENCH JSON pairs written to a temp dir. Registered in ctest as
+bench_diff.selftest."""
+
+import copy
+import json
+import os
+import subprocess
+import sys
+import tempfile
+import unittest
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+
+REFERENCE = {
+    "BM_RolloutCollect": {
+        "env": "Hopper",
+        "serial_collect_s": 0.038,
+        "serial_steps_per_s": 50000.0,
+        "vectorized_steps_per_s": 120000.0,
+        "traces_identical": True,
+    }
+}
+
+
+def run_diff(reference, candidate):
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for name, data in (("ref.json", reference), ("cand.json", candidate)):
+            path = os.path.join(tmp, name)
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(data, fh)
+            paths.append(path)
+        r = subprocess.run(
+            [sys.executable, os.path.join(HERE, "bench_diff.py")] + paths,
+            capture_output=True, text=True)
+    return r.returncode, r.stdout + r.stderr
+
+
+def candidate(**changes):
+    """REFERENCE with entry fields replaced (value None deletes the field)."""
+    out = copy.deepcopy(REFERENCE)
+    entry = out["BM_RolloutCollect"]
+    for k, v in changes.items():
+        if v is None:
+            entry.pop(k, None)
+        else:
+            entry[k] = v
+    return out
+
+
+class BenchDiff(unittest.TestCase):
+    def assert_exit(self, cand, want, reference=REFERENCE):
+        code, out = run_diff(reference, cand)
+        self.assertEqual(code, want, out)
+        return out
+
+    def test_identical_passes(self):
+        out = self.assert_exit(candidate(), 0)
+        self.assertIn("2 throughput metric(s) within 10%", out)
+
+    def test_drop_within_tolerance_passes(self):
+        self.assert_exit(candidate(vectorized_steps_per_s=110000.0), 0)
+
+    def test_drop_beyond_tolerance_fails(self):
+        out = self.assert_exit(candidate(vectorized_steps_per_s=100000.0), 1)
+        self.assertIn("FAIL BM_RolloutCollect.vectorized_steps_per_s", out)
+
+    def test_missing_metric_and_trace_flag_fail(self):
+        out = self.assert_exit(
+            candidate(vectorized_steps_per_s=None, traces_identical=None), 1)
+        self.assertIn("vectorized_steps_per_s: missing or non-numeric", out)
+        self.assertIn("traces_identical is null", out)
+
+    def test_missing_metric_fails(self):
+        self.assert_exit(candidate(serial_steps_per_s=None), 1)
+
+    def test_non_numeric_metric_fails(self):
+        self.assert_exit(candidate(vectorized_steps_per_s="fast"), 1)
+        self.assert_exit(candidate(vectorized_steps_per_s=True), 1)
+
+    def test_missing_trace_flag_fails(self):
+        self.assert_exit(candidate(traces_identical=None), 1)
+
+    def test_false_trace_flag_fails(self):
+        self.assert_exit(candidate(traces_identical=False), 1)
+
+    def test_trace_flag_only_required_when_reference_has_it(self):
+        ref = candidate(traces_identical=None)
+        self.assert_exit(candidate(traces_identical=None), 0, reference=ref)
+
+    def test_no_shared_entries_fails(self):
+        self.assert_exit({"BM_Other": {"x_steps_per_s": 1.0}}, 1)
+
+
+if __name__ == "__main__":
+    unittest.main()
