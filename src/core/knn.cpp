@@ -1,68 +1,61 @@
 #include "core/knn.h"
 
 #include <algorithm>
+#include <climits>
 #include <cmath>
 #include <limits>
 #include <vector>
 
 #include "common/check.h"
 #include "common/thread_pool.h"
+#include "nn/kernel_backend.h"
 
 namespace imap::core {
 
 namespace {
 
-/// Rows scanned per parallel chunk; below one chunk the scan stays serial.
-constexpr std::size_t kParallelRowChunk = 512;
+namespace kernel = nn::kernel;
 
 constexpr std::size_t kMaxK = 16;
 
-/// Scan rows [rb, re) and fold their squared distances to `s` into the
-/// sorted top-k buffer `best` (ascending, size k).
-void scan_rows(const double* data, std::size_t dim, std::size_t rb,
-               std::size_t re, const double* s, std::size_t k, double* best) {
-  for (std::size_t r = rb; r < re; ++r) {
-    const double* row = data + r * dim;
-    double sq = 0.0;
-    for (std::size_t c = 0; c < dim; ++c) {
-      const double d = row[c] - s[c];
-      sq += d * d;
-    }
-    if (sq < best[k - 1]) {
-      // Insertion into the sorted top-k.
-      std::size_t pos = k - 1;
-      while (pos > 0 && best[pos - 1] > sq) {
-        best[pos] = best[pos - 1];
-        --pos;
-      }
-      best[pos] = sq;
-    }
-  }
+/// The reservoir draw is uniform_int(0, total − 1) over int, so the running
+/// count must stay representable as one.
+constexpr std::size_t kMaxTotal = INT_MAX;
+
+std::size_t padded_stride(std::size_t capacity) {
+  return (capacity + kernel::kKnnLanes - 1) / kernel::kKnnLanes *
+         kernel::kKnnLanes;
 }
 
 }  // namespace
 
 KnnBuffer::KnnBuffer(std::size_t dim, std::size_t capacity, std::size_t k,
                      Rng rng)
-    : dim_(dim), capacity_(capacity), k_(k), rng_(rng) {
+    : dim_(dim),
+      capacity_(capacity),
+      k_(k),
+      stride_(padded_stride(capacity)),
+      rng_(rng) {
   IMAP_CHECK(dim_ > 0);
   IMAP_CHECK(capacity_ >= k_ && k_ >= 1);
   IMAP_CHECK(k_ <= kMaxK);
-  data_.reserve(capacity_ * dim_);
+  data_.resize(dim_ * stride_);
 }
 
 void KnnBuffer::add(const double* s) {
+  IMAP_CHECK_MSG(total_ < kMaxTotal,
+                 "KnnBuffer: reservoir count would exceed INT_MAX");
   ++total_;
+  std::size_t slot = size_;
   if (size_ < capacity_) {
-    data_.insert(data_.end(), s, s + dim_);
     ++size_;
-    return;
+  } else {
+    // Reservoir sampling: replace a uniform slot with probability cap/total.
+    slot = static_cast<std::size_t>(
+        rng_.uniform_int(0, static_cast<int>(total_) - 1));
+    if (slot >= capacity_) return;
   }
-  // Reservoir sampling: replace a uniform slot with probability cap/total.
-  const auto j = static_cast<std::size_t>(
-      rng_.uniform_int(0, static_cast<int>(total_) - 1));
-  if (j < capacity_) std::copy(s, s + dim_, data_.begin() +
-                                   static_cast<std::ptrdiff_t>(j * dim_));
+  for (std::size_t c = 0; c < dim_; ++c) data_[c * stride_ + slot] = s[c];
 }
 
 void KnnBuffer::add(const std::vector<double>& s) {
@@ -71,56 +64,46 @@ void KnnBuffer::add(const std::vector<double>& s) {
   add(s.data());
 }
 
-double KnnBuffer::knn_distance_sq(const double* s) const {
-  if (size_ < k_) return std::numeric_limits<double>::infinity();
-
-  if (size_ < 2 * kParallelRowChunk || effective_concurrency() <= 1) {
-    double best[kMaxK];
-    std::fill(best, best + k_, std::numeric_limits<double>::infinity());
-    scan_rows(data_.data(), dim_, 0, size_, s, k_, best);
-    IMAP_NCHECK_BOUNDS(best[k_ - 1], 0.0,
-                       std::numeric_limits<double>::infinity(),
-                       "knn.distance_sq");
-    return best[k_ - 1];
+void KnnBuffer::knn_distance_sq_batch(const double* queries, std::size_t n,
+                                      double* out) const {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  if (size_ < k_) {
+    std::fill(out, out + n, kInf);
+    return;
   }
-
-  // Parallel scan: each chunk keeps its own exact top-k over its row range,
-  // then the per-chunk lists are merged. The global k-th smallest distance
-  // is exact regardless of how the rows were partitioned, so the result is
-  // identical to the serial scan (and to any thread count).
-  const std::size_t nchunks = (size_ + kParallelRowChunk - 1) /
-                              kParallelRowChunk;
-  std::vector<double> chunk_best(nchunks * k_,
-                                 std::numeric_limits<double>::infinity());
-  parallel_for(
-      nchunks,
-      [&](std::size_t i) {
-        const std::size_t rb = i * size_ / nchunks;
-        const std::size_t re = (i + 1) * size_ / nchunks;
-        scan_rows(data_.data(), dim_, rb, re, s, k_,
-                  chunk_best.data() + i * k_);
-      },
-      /*grain=*/1);
-
-  double best[kMaxK];
-  std::fill(best, best + k_, std::numeric_limits<double>::infinity());
-  for (std::size_t i = 0; i < nchunks * k_; ++i) {
-    const double sq = chunk_best[i];
-    if (sq < best[k_ - 1]) {
-      std::size_t pos = k_ - 1;
-      while (pos > 0 && best[pos - 1] > sq) {
-        best[pos] = best[pos - 1];
-        --pos;
-      }
-      best[pos] = sq;
+  const kernel::KernelBackend& be = kernel::active_backend();
+  const auto scan = be.knn_scan != nullptr
+                        ? be.knn_scan
+                        : kernel::scalar_backend().knn_scan;
+  // Threads across query tiles, lanes across rows: each query's top-k is
+  // independent of which tile or thread scans it, so the result is the
+  // serial scan's for any thread count.
+  const std::size_t tiles =
+      (n + kernel::kKnnQueryTile - 1) / kernel::kKnnQueryTile;
+  parallel_for_chunked(tiles, 0, [&](std::size_t tb, std::size_t te) {
+    const std::size_t qb = tb * kernel::kKnnQueryTile;
+    const std::size_t qe = std::min(n, te * kernel::kKnnQueryTile);
+    std::vector<double> best((qe - qb) * k_, kInf);
+    scan(data_.data(), stride_, size_, dim_, queries + qb * dim_, qe - qb, k_,
+         best.data());
+    for (std::size_t q = qb; q < qe; ++q) {
+      out[q] = best[(q - qb) * k_ + k_ - 1];
+      // +Inf is the legitimate "fewer than k neighbours" sentinel, so the
+      // guard only excludes NaN and negative distances.
+      IMAP_NCHECK_BOUNDS(out[q], 0.0, kInf, "knn.distance_sq");
     }
-  }
-  // +Inf is the legitimate "fewer than k neighbours" sentinel, so the guard
-  // only excludes NaN and negative distances.
-  IMAP_NCHECK_BOUNDS(best[k_ - 1], 0.0,
-                     std::numeric_limits<double>::infinity(),
-                     "knn.distance_sq");
-  return best[k_ - 1];
+  });
+}
+
+double KnnBuffer::knn_distance_sq(const double* s) const {
+  double sq = 0.0;
+  knn_distance_sq_batch(s, 1, &sq);
+  return sq;
+}
+
+double KnnBuffer::knn_distance_sq(const std::vector<double>& s) const {
+  IMAP_CHECK(s.size() == dim_);
+  return knn_distance_sq(s.data());
 }
 
 double KnnBuffer::knn_distance(const double* s) const {
@@ -132,11 +115,6 @@ double KnnBuffer::knn_distance(const std::vector<double>& s) const {
   return knn_distance(s.data());
 }
 
-double KnnBuffer::knn_distance_sq(const std::vector<double>& s) const {
-  IMAP_CHECK(s.size() == dim_);
-  return knn_distance_sq(s.data());
-}
-
 double KnnBuffer::density(const std::vector<double>& s) const {
   const double sq = knn_distance_sq(s);
   if (!std::isfinite(sq)) return 0.0;
@@ -145,7 +123,6 @@ double KnnBuffer::density(const std::vector<double>& s) const {
 }
 
 void KnnBuffer::clear() {
-  data_.clear();
   size_ = 0;
   total_ = 0;
 }
@@ -157,19 +134,36 @@ void KnnBuffer::save_state(BinaryWriter& w) const {
   rng_.save_state(w);
   w.write_u64(size_);
   w.write_u64(total_);
-  w.write_vec(data_);
+  // Row-major on disk, as the archive format has always stored it.
+  std::vector<double> rows(size_ * dim_);
+  for (std::size_t r = 0; r < size_; ++r)
+    for (std::size_t c = 0; c < dim_; ++c)
+      rows[r * dim_ + c] = data_[c * stride_ + r];
+  w.write_vec(rows);
 }
 
 void KnnBuffer::load_state(BinaryReader& r) {
   IMAP_CHECK_MSG(r.read_u64() == dim_ && r.read_u64() == capacity_ &&
                      r.read_u64() == k_,
                  "KNN checkpoint has wrong geometry");
-  rng_.load_state(r);
-  size_ = r.read_u64();
-  total_ = r.read_u64();
-  data_ = r.read_vec();
-  IMAP_CHECK_MSG(data_.size() == size_ * dim_, "corrupt KNN checkpoint");
-  data_.reserve(capacity_ * dim_);
+  Rng rng = rng_;
+  rng.load_state(r);
+  const std::size_t size = r.read_u64();
+  const std::size_t total = r.read_u64();
+  // add() keeps size == min(total, capacity) with total ≤ INT_MAX, which
+  // rules out size > capacity and total < size.
+  IMAP_CHECK_MSG(size == std::min(total, capacity_) && total <= kMaxTotal,
+                 "corrupt KNN checkpoint: size " << size << ", total "
+                                                 << total << ", capacity "
+                                                 << capacity_);
+  const std::vector<double> rows = r.read_vec();
+  IMAP_CHECK_MSG(rows.size() == size * dim_, "corrupt KNN checkpoint");
+  for (std::size_t i = 0; i < size; ++i)
+    for (std::size_t c = 0; c < dim_; ++c)
+      data_[c * stride_ + i] = rows[i * dim_ + c];
+  rng_ = rng;
+  size_ = size;
+  total_ = total;
 }
 
 }  // namespace imap::core

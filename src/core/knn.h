@@ -23,18 +23,23 @@ class KnnBuffer {
   void add(const double* s);
   void add(const std::vector<double>& s);
 
-  /// Euclidean distance from `s` to its k-th nearest stored neighbour.
-  /// Returns +inf when fewer than k states are stored. Large buffers are
-  /// scanned in parallel chunks with an exact per-chunk top-k merge, so the
-  /// result is identical to the serial scan for any thread count.
-  double knn_distance(const double* s) const;
-  double knn_distance(const std::vector<double>& s) const;
+  /// Squared k-th-neighbour distance of each of `n` queries (row-major,
+  /// stride dim()) into out[0..n); +inf when fewer than k states are stored.
+  /// Exact brute force through the active backend's knn_scan kernel: vector
+  /// lanes across stored rows, pool threads across query tiles. Each query's
+  /// result is the serial scan's bit for bit, for any backend and any thread
+  /// count.
+  void knn_distance_sq_batch(const double* queries, std::size_t n,
+                             double* out) const;
 
-  /// Squared k-th-neighbour distance — the sqrt-free inner kernel behind
-  /// knn_distance(); preferred where the caller applies its own transform
-  /// (density() uses this to keep the row scan sqrt-free).
+  /// Squared k-th-neighbour distance of one query: a batch of one.
   double knn_distance_sq(const double* s) const;
   double knn_distance_sq(const std::vector<double>& s) const;
+
+  /// Euclidean distance from `s` to its k-th nearest stored neighbour
+  /// (sqrt of knn_distance_sq; +inf when fewer than k states are stored).
+  double knn_distance(const double* s) const;
+  double knn_distance(const std::vector<double>& s) const;
 
   /// KNN density estimate 1 / (knn_distance + eps); 0 when under-filled.
   double density(const std::vector<double>& s) const;
@@ -46,8 +51,10 @@ class KnnBuffer {
   bool empty() const { return size_ == 0; }
   void clear();
 
-  /// Serialize the stored rows, reservoir counters and sampling stream so a
-  /// restored buffer continues the exact reservoir sequence.
+  /// Serialize the stored rows (row-major, whatever the in-memory layout),
+  /// reservoir counters and sampling stream so a restored buffer continues
+  /// the exact reservoir sequence. load_state throws CheckError on a
+  /// checkpoint whose geometry or counters are inconsistent.
   void save_state(BinaryWriter& w) const;
   void load_state(BinaryReader& r);
 
@@ -55,8 +62,11 @@ class KnnBuffer {
   std::size_t dim_;
   std::size_t capacity_;
   std::size_t k_;
+  std::size_t stride_;  ///< capacity_ rounded up to kernel::kKnnLanes
   Rng rng_;
-  std::vector<double> data_;  ///< row-major, size_ rows of dim_
+  /// Dim-major: dimension c of stored row r at data_[c·stride_ + r]. Slots
+  /// past size_ are padding the scan kernels load but never insert.
+  std::vector<double> data_;
   std::size_t size_ = 0;
   std::size_t total_ = 0;
 };

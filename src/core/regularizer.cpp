@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/check.h"
-#include "common/thread_pool.h"
 
 namespace imap::core {
 
@@ -38,24 +37,38 @@ namespace {
 
 double finite_or_zero(double x) { return std::isfinite(x) ? x : 0.0; }
 
+/// The rollout's observations projected onto `slice`, as one row-major
+/// n×d block (d = slice.dim(obs_dim)) — the layout the batched KNN reads.
+std::vector<double> project_rows(const rl::RolloutBuffer& buf,
+                                 const ObsSlice& slice, std::size_t obs_dim) {
+  const std::size_t d = slice.dim(obs_dim);
+  std::vector<double> proj(buf.size() * d);
+  for (std::size_t i = 0; i < buf.size(); ++i) {
+    const std::vector<double>& s = buf.obs[i];
+    const std::size_t begin = slice.whole() ? 0 : slice.begin;
+    IMAP_CHECK(slice.whole() ? s.size() == d
+                             : begin < slice.end && slice.end <= s.size());
+    const auto first = s.begin() + static_cast<std::ptrdiff_t>(begin);
+    std::copy(first, first + static_cast<std::ptrdiff_t>(d),
+              proj.begin() + static_cast<std::ptrdiff_t>(i * d));
+  }
+  IMAP_NCHECK_FINITE_VEC(proj, "regularizer.projection");
+  return proj;
+}
+
 /// One marginal of the SC-driven bonus: the KNN form of the entropy
 /// gradient, log(1 + ‖s − s*_{D_k}‖), over the rollout's own states.
 void add_sc_term(rl::RolloutBuffer& buf, const ObsSlice& slice, double weight,
                  std::size_t obs_dim, std::size_t k, Rng& rng) {
   const std::size_t d = slice.dim(obs_dim);
-  KnnBuffer dk(d, buf.size(), k, rng.split(rng.next_u64()));
-  std::vector<std::vector<double>> proj(buf.size());
-  for (std::size_t i = 0; i < buf.size(); ++i) {
-    proj[i] = slice.project(buf.obs[i]);
-    dk.add(proj[i]);
-  }
-  // Queries are independent and each writes only its own rew_i slot.
-  parallel_for_chunked(buf.size(), 0, [&](std::size_t b, std::size_t e) {
-    for (std::size_t i = b; i < e; ++i) {
-      const double dist = dk.knn_distance(proj[i]);
-      buf.rew_i[i] += weight * finite_or_zero(std::log1p(dist));
-    }
-  });
+  const std::size_t n = buf.size();
+  KnnBuffer dk(d, n, k, rng.split(rng.next_u64()));
+  const std::vector<double> proj = project_rows(buf, slice, obs_dim);
+  for (std::size_t i = 0; i < n; ++i) dk.add(proj.data() + i * d);
+  std::vector<double> sq(n);
+  dk.knn_distance_sq_batch(proj.data(), n, sq.data());
+  for (std::size_t i = 0; i < n; ++i)
+    buf.rew_i[i] += weight * finite_or_zero(std::log1p(std::sqrt(sq[i])));
   IMAP_NCHECK_FINITE_VEC(buf.rew_i, "regularizer.sc_bonus");
 }
 
@@ -103,31 +116,30 @@ class PcMarginal {
 
   void add_bonus(rl::RolloutBuffer& buf, double weight, std::size_t obs_dim) {
     const std::size_t d = slice_.dim(obs_dim);
-    KnnBuffer dk(d, buf.size(), k_, rng_.split(rng_.next_u64()));
-    std::vector<std::vector<double>> proj(buf.size());
-    for (std::size_t i = 0; i < buf.size(); ++i) {
-      proj[i] = slice_.project(buf.obs[i]);
-      dk.add(proj[i]);
+    const std::size_t n = buf.size();
+    KnnBuffer dk(d, n, k_, rng_.split(rng_.next_u64()));
+    const std::vector<double> proj = project_rows(buf, slice_, obs_dim);
+    for (std::size_t i = 0; i < n; ++i) dk.add(proj.data() + i * d);
+    // Squared distances to D_k in [0, n), to B in [n, 2n). The union buffer
+    // is read-only until the fold below.
+    std::vector<double> sq(2 * n);
+    dk.knn_distance_sq_batch(proj.data(), n, sq.data());
+    const bool has_b = union_buffer_.size() >= k_;
+    if (has_b)
+      union_buffer_.knn_distance_sq_batch(proj.data(), n, sq.data() + n);
+    for (std::size_t i = 0; i < n; ++i) {
+      const double dist_dk = std::sqrt(sq[i]);
+      // ∇ of Σ√(d/ρ) with d ≈ 1/dist_{D_k}, ρ ≈ 1/dist_B gives a bonus
+      // ∝ √(dist_{D_k} · dist_B): large where BOTH the fresh policy and the
+      // whole explored region ρ^α are thin — novelty beyond the frontier.
+      const double dist_b = has_b ? std::sqrt(sq[n + i]) : dist_dk;
+      buf.rew_i[i] += weight * finite_or_zero(
+                                   std::sqrt(std::max(0.0, dist_dk) *
+                                             std::max(0.0, dist_b)));
     }
-    // Queries are independent and each writes only its own rew_i slot; the
-    // union buffer is read-only until the fold below.
-    parallel_for_chunked(buf.size(), 0, [&](std::size_t b, std::size_t e) {
-      for (std::size_t i = b; i < e; ++i) {
-        const double dist_dk = dk.knn_distance(proj[i]);
-        // ∇ of Σ√(d/ρ) with d ≈ 1/dist_{D_k}, ρ ≈ 1/dist_B gives a bonus
-        // ∝ √(dist_{D_k} · dist_B): large where BOTH the fresh policy and the
-        // whole explored region ρ^α are thin — novelty beyond the frontier.
-        const double dist_b = union_buffer_.size() >= k_
-                                  ? union_buffer_.knn_distance(proj[i])
-                                  : dist_dk;
-        buf.rew_i[i] += weight * finite_or_zero(
-                                     std::sqrt(std::max(0.0, dist_dk) *
-                                               std::max(0.0, dist_b)));
-      }
-    });
     IMAP_NCHECK_FINITE_VEC(buf.rew_i, "regularizer.pc_bonus");
     // Only now fold the fresh trajectories into B (they represent π_k).
-    for (std::size_t i = 0; i < buf.size(); ++i) union_buffer_.add(proj[i]);
+    for (std::size_t i = 0; i < n; ++i) union_buffer_.add(proj.data() + i * d);
   }
 
   void save_state(BinaryWriter& w) const {

@@ -366,6 +366,53 @@ void avx2_quant_act(float* h, std::size_t batch, std::size_t width,
   }
 }
 
+namespace {
+
+// NQ queries × one 4-row block per step (see kernel_avx512.cpp for the tile
+// and mask rationale); kKnnLanes is a multiple of 4, so the padded tail
+// block loads whole vectors too.
+template <std::size_t NQ>
+void knn_tile(const double* data, std::size_t stride, std::size_t rows,
+              std::size_t dim, const double* q, std::size_t k, double* best) {
+  static_assert(kKnnLanes % 4 == 0, "row blocks of one ymm of doubles");
+  for (std::size_t r = 0; r < rows; r += 4) {
+    __m256d acc[NQ];
+    for (std::size_t j = 0; j < NQ; ++j) acc[j] = _mm256_setzero_pd();
+    for (std::size_t c = 0; c < dim; ++c) {
+      const __m256d col = _mm256_loadu_pd(data + c * stride + r);
+      for (std::size_t j = 0; j < NQ; ++j) {
+        const __m256d d = _mm256_sub_pd(col, _mm256_set1_pd(q[j * dim + c]));
+        acc[j] = _mm256_add_pd(acc[j], _mm256_mul_pd(d, d));
+      }
+    }
+    const unsigned live = rows - r >= 4 ? 0xfu : (1u << (rows - r)) - 1u;
+    for (std::size_t j = 0; j < NQ; ++j) {
+      double* bj = best + j * k;
+      unsigned m = live & static_cast<unsigned>(_mm256_movemask_pd(
+                              _mm256_cmp_pd(acc[j], _mm256_set1_pd(bj[k - 1]),
+                                            _CMP_LT_OQ)));
+      if (m == 0) continue;
+      alignas(32) double lane[4];
+      _mm256_store_pd(lane, acc[j]);
+      for (; m != 0; m &= m - 1)
+        knn_insert(bj, k, lane[std::countr_zero(m)]);
+    }
+  }
+}
+
+}  // namespace
+
+void avx2_knn_scan(const double* data, std::size_t stride, std::size_t rows,
+                   std::size_t dim, const double* queries, std::size_t nq,
+                   std::size_t k, double* best) {
+  std::size_t i = 0;
+  for (; i + kKnnQueryTile <= nq; i += kKnnQueryTile)
+    knn_tile<kKnnQueryTile>(data, stride, rows, dim, queries + i * dim, k,
+                            best + i * k);
+  for (; i < nq; ++i)
+    knn_tile<1>(data, stride, rows, dim, queries + i * dim, k, best + i * k);
+}
+
 }  // namespace imap::nn::kernel::detail
 
 #endif  // IMAP_KERNEL_AVX2

@@ -388,6 +388,57 @@ void avx512_quant_act(float* h, std::size_t batch, std::size_t width,
   }
 }
 
+namespace {
+
+// NQ queries × one 8-row block per step: each column load feeds NQ
+// sub/mul/add chains (the register tile), and one masked compare per query
+// against its current k-th best decides which lanes reach the scalar
+// insertion. The stride is padded to kKnnLanes, so the tail block loads whole
+// vectors and the `live` mask drops the padding lanes.
+template <std::size_t NQ>
+void knn_tile(const double* data, std::size_t stride, std::size_t rows,
+              std::size_t dim, const double* q, std::size_t k, double* best) {
+  static_assert(kKnnLanes == 8, "one zmm of doubles per row block");
+  for (std::size_t r = 0; r < rows; r += 8) {
+    __m512d acc[NQ];
+    for (std::size_t j = 0; j < NQ; ++j) acc[j] = _mm512_setzero_pd();
+    for (std::size_t c = 0; c < dim; ++c) {
+      const __m512d col = _mm512_loadu_pd(data + c * stride + r);
+      for (std::size_t j = 0; j < NQ; ++j) {
+        const __m512d d = _mm512_sub_pd(col, _mm512_set1_pd(q[j * dim + c]));
+        acc[j] = _mm512_add_pd(acc[j], _mm512_mul_pd(d, d));
+      }
+    }
+    const __mmask8 live =
+        rows - r >= 8 ? static_cast<__mmask8>(0xff)
+                      : static_cast<__mmask8>((1u << (rows - r)) - 1u);
+    for (std::size_t j = 0; j < NQ; ++j) {
+      double* bj = best + j * k;
+      unsigned m = _mm512_mask_cmp_pd_mask(live, acc[j],
+                                           _mm512_set1_pd(bj[k - 1]),
+                                           _CMP_LT_OQ);
+      if (m == 0) continue;
+      alignas(64) double lane[8];
+      _mm512_store_pd(lane, acc[j]);
+      for (; m != 0; m &= m - 1)
+        knn_insert(bj, k, lane[std::countr_zero(m)]);
+    }
+  }
+}
+
+}  // namespace
+
+void avx512_knn_scan(const double* data, std::size_t stride, std::size_t rows,
+                     std::size_t dim, const double* queries, std::size_t nq,
+                     std::size_t k, double* best) {
+  std::size_t i = 0;
+  for (; i + kKnnQueryTile <= nq; i += kKnnQueryTile)
+    knn_tile<kKnnQueryTile>(data, stride, rows, dim, queries + i * dim, k,
+                            best + i * k);
+  for (; i < nq; ++i)
+    knn_tile<1>(data, stride, rows, dim, queries + i * dim, k, best + i * k);
+}
+
 }  // namespace imap::nn::kernel::detail
 
 #endif  // IMAP_KERNEL_AVX512

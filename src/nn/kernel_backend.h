@@ -39,6 +39,27 @@ inline std::size_t quant_packed_index(std::size_t r, std::size_t c,
          (p * w + (r - full * kQuantTile)) * 2 + c % 2;
 }
 
+/// KNN scan geometry (core/knn.h). Stored rows are kept dim-major: dimension
+/// c of row r sits at data[c·stride + r], and `stride` is a multiple of
+/// kKnnLanes — the widest backend's double-lane count — so every backend
+/// loads whole vectors across rows, the tail block included, without reading
+/// past the buffer. kKnnQueryTile queries share each row block's loads (a
+/// register tile; an 8-query tile showed no consistent gain over 4).
+inline constexpr std::size_t kKnnLanes = 8;
+inline constexpr std::size_t kKnnQueryTile = 4;
+
+/// Top-k insertion shared by every knn_scan backend: fold `sq` into the
+/// ascending list best[0..k) when it beats the current k-th entry.
+inline void knn_insert(double* best, std::size_t k, double sq) {
+  if (!(sq < best[k - 1])) return;
+  std::size_t pos = k - 1;
+  while (pos > 0 && best[pos - 1] > sq) {
+    best[pos] = best[pos - 1];
+    --pos;
+  }
+  best[pos] = sq;
+}
+
 /// One SIMD (or scalar) implementation of the batched kernel set. Backends
 /// are compiled-in per architecture (scalar everywhere; avx2/avx512 on
 /// x86-64; neon on aarch64) and selected at runtime: CPUID picks the widest
@@ -98,6 +119,19 @@ struct KernelBackend {
   /// Null ⇒ dispatch falls back to scalar.
   void (*quant_act)(float* h, std::size_t batch, std::size_t width,
                     std::size_t out_pairs, std::int16_t* qx, float* qscale);
+
+  /// Exact KNN scan: for each of `nq` queries (row-major, stride `dim`),
+  /// fold the squared distances to the first `rows` stored rows (dim-major,
+  /// see kKnnLanes) into that query's ascending top-k list
+  /// best[q·k .. q·k+k), which the caller initialises. Lanes run across
+  /// stored rows; each lane runs the scalar chain sq = 0; sq += d·d with
+  /// d = row[c] − query[c] for c = 0..dim−1 (separate sub, mul, add), so
+  /// every distance is bitwise the scalar one. Rows whose distance beats
+  /// best[k−1] reach knn_insert in row order, so the lists match the serial
+  /// scan exactly. Null ⇒ dispatch falls back to scalar.
+  void (*knn_scan)(const double* data, std::size_t stride, std::size_t rows,
+                   std::size_t dim, const double* queries, std::size_t nq,
+                   std::size_t k, double* best);
 
   /// True when batch_affine vectorises across output lanes and therefore
   /// profits from the caller-cached transpose (Mlp::Workspace::wt).

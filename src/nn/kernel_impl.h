@@ -60,6 +60,9 @@ void scalar_quant_affine(const std::int16_t* wq_packed, const float* row_scale,
                          const float* xscale, std::size_t batch, float* y);
 void scalar_quant_act(float* h, std::size_t batch, std::size_t width,
                       std::size_t out_pairs, std::int16_t* qx, float* qscale);
+void scalar_knn_scan(const double* data, std::size_t stride, std::size_t rows,
+                     std::size_t dim, const double* queries, std::size_t nq,
+                     std::size_t k, double* best);
 
 // --- avx2 (x86-64; TU compiled with -mavx2 -mno-fma) -----------------------
 #ifdef IMAP_KERNEL_AVX2
@@ -77,6 +80,9 @@ void avx2_quant_affine(const std::int16_t* wq_packed, const float* row_scale,
                        const float* xscale, std::size_t batch, float* y);
 void avx2_quant_act(float* h, std::size_t batch, std::size_t width,
                     std::size_t out_pairs, std::int16_t* qx, float* qscale);
+void avx2_knn_scan(const double* data, std::size_t stride, std::size_t rows,
+                   std::size_t dim, const double* queries, std::size_t nq,
+                   std::size_t k, double* best);
 #endif
 
 // --- avx512 (x86-64; TU compiled with -mavx512f -mavx512bw) ----------------
@@ -95,6 +101,9 @@ void avx512_quant_affine(const std::int16_t* wq_packed, const float* row_scale,
                          const float* xscale, std::size_t batch, float* y);
 void avx512_quant_act(float* h, std::size_t batch, std::size_t width,
                       std::size_t out_pairs, std::int16_t* qx, float* qscale);
+void avx512_knn_scan(const double* data, std::size_t stride, std::size_t rows,
+                     std::size_t dim, const double* queries, std::size_t nq,
+                     std::size_t k, double* best);
 #endif
 
 // --- neon (aarch64; asimd is baseline, no extra ISA flags needed) ----------

@@ -186,4 +186,45 @@ void scalar_quant_act(float* h, std::size_t batch, std::size_t width,
   }
 }
 
+namespace {
+
+/// NQ queries against every stored row, one kKnnLanes-row block at a time:
+/// the reference form of the lanes-across-rows contract. Each (query, row)
+/// accumulator runs sq = 0; sq += d·d over ascending c, and the padded tail
+/// lanes past `rows` are computed but never inserted.
+template <std::size_t NQ>
+void knn_tile(const double* data, std::size_t stride, std::size_t rows,
+              std::size_t dim, const double* q, std::size_t k, double* best) {
+  for (std::size_t r = 0; r < rows; r += kKnnLanes) {
+    double sq[NQ][kKnnLanes] = {};
+    for (std::size_t c = 0; c < dim; ++c) {
+      const double* col = data + c * stride + r;
+      for (std::size_t j = 0; j < NQ; ++j) {
+        const double qc = q[j * dim + c];
+        for (std::size_t l = 0; l < kKnnLanes; ++l) {
+          const double d = col[l] - qc;
+          sq[j][l] += d * d;
+        }
+      }
+    }
+    const std::size_t live = std::min(kKnnLanes, rows - r);
+    for (std::size_t j = 0; j < NQ; ++j)
+      for (std::size_t l = 0; l < live; ++l)
+        knn_insert(best + j * k, k, sq[j][l]);
+  }
+}
+
+}  // namespace
+
+void scalar_knn_scan(const double* data, std::size_t stride, std::size_t rows,
+                     std::size_t dim, const double* queries, std::size_t nq,
+                     std::size_t k, double* best) {
+  std::size_t i = 0;
+  for (; i + kKnnQueryTile <= nq; i += kKnnQueryTile)
+    knn_tile<kKnnQueryTile>(data, stride, rows, dim, queries + i * dim, k,
+                            best + i * k);
+  for (; i < nq; ++i)
+    knn_tile<1>(data, stride, rows, dim, queries + i * dim, k, best + i * k);
+}
+
 }  // namespace imap::nn::kernel::detail

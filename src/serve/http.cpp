@@ -10,7 +10,6 @@
 #include <cctype>
 #include <cerrno>
 #include <charconv>
-#include <cstdlib>
 #include <cstring>
 
 #include "common/check.h"
@@ -26,10 +25,13 @@ std::string HttpRequest::param(const std::string& name,
 long long HttpRequest::param_ll(const std::string& name,
                                 long long fallback) const {
   const auto it = params.find(name);
-  if (it == params.end() || it->second.empty()) return fallback;
-  char* end = nullptr;
-  const long long v = std::strtoll(it->second.c_str(), &end, 10);
-  return (end != nullptr && *end == '\0') ? v : fallback;
+  if (it == params.end()) return fallback;
+  // The whole value must be one base-10 integer in range: from_chars takes
+  // no leading space or '+', and reports overflow instead of saturating.
+  const std::string& v = it->second;
+  long long out = 0;
+  const auto [end, ec] = std::from_chars(v.data(), v.data() + v.size(), out);
+  return ec == std::errc() && end == v.data() + v.size() ? out : fallback;
 }
 
 namespace {

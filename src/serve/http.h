@@ -20,6 +20,9 @@ struct HttpRequest {
   /// Query parameter by name, or `fallback` when absent.
   std::string param(const std::string& name,
                     const std::string& fallback = "") const;
+  /// Query parameter as a whole base-10 integer, or `fallback` when absent,
+  /// empty, out of long long range, or not entirely digits after an
+  /// optional '-' (no leading space, no '+', no trailing junk).
   long long param_ll(const std::string& name, long long fallback) const;
 };
 

@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 
 #include "common/check.h"
 #include "common/proc.h"
@@ -407,7 +408,16 @@ std::string Server::route_attack_train(const HttpRequest& req, int& status) {
     return json_error("unknown attack: " + attack);
   }
   plan.attack_steps = req.param_ll("steps", 0);
-  plan.eval_episodes = static_cast<int>(req.param_ll("episodes", 0));
+  // Absent means the runner default (0); anything else must be a whole
+  // count that fits the plan's int before it is narrowed.
+  const long long episodes =
+      req.params.count("episodes") != 0 ? req.param_ll("episodes", -1) : 0;
+  if (episodes < 0 || episodes > std::numeric_limits<int>::max()) {
+    status = 400;
+    return json_error("episodes must be an integer in [0, " +
+                      std::to_string(std::numeric_limits<int>::max()) + "]");
+  }
+  plan.eval_episodes = static_cast<int>(episodes);
   const std::uint64_t id = jobs_.enqueue(plan);
   status = 202;
   return "{\"id\":" + std::to_string(id) + "}";

@@ -5,8 +5,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <string>
+#include <vector>
 
 #include "core/knn.h"
+#include "knn_oracle.h"
 #include "nn/gaussian.h"
 #include "rl/gae.h"
 
@@ -91,37 +95,40 @@ TEST(Fuzz, GaeMatchesNaiveReference) {
 // ---------------------------------------------------------------- KNN
 
 TEST(Fuzz, KnnMatchesBruteForceUnderInterleavedOps) {
-  Rng rng(202);
-  for (int trial = 0; trial < 10; ++trial) {
-    const std::size_t dim = 1 + static_cast<std::size_t>(rng.uniform_int(0, 5));
-    const std::size_t k = 1 + static_cast<std::size_t>(rng.uniform_int(0, 3));
-    const std::size_t cap = 256;  // below capacity: buffer stores everything
-    core::KnnBuffer buf(dim, cap, k, rng.split(trial));
-    std::vector<std::vector<double>> mirror;
+  // Random dims 1–13, k, and capacities that adds overrun, so reservoir
+  // replacement interleaves with queries; queries arrive singly or in
+  // batches of 1–9. Every backend replays the same seeded trials and must
+  // match the brute-force squared distance exactly.
+  for (const std::string& backend : testing::runnable_backends()) {
+    nn::kernel::ScopedBackend forced(backend);
+    ASSERT_TRUE(forced.activated());
+    Rng rng(202);
+    for (int trial = 0; trial < 10; ++trial) {
+      const auto dim = static_cast<std::size_t>(rng.uniform_int(1, 13));
+      const auto k = static_cast<std::size_t>(rng.uniform_int(1, 4));
+      const auto cap = static_cast<std::size_t>(rng.uniform_int(4, 60));
+      const Rng stream = rng.split(static_cast<std::uint64_t>(trial));
+      core::KnnBuffer buf(dim, cap, k, stream);
+      testing::ReservoirMirror mirror(cap, stream);
 
-    for (int op = 0; op < 150; ++op) {
-      if (mirror.size() < cap && (mirror.empty() || rng.bernoulli(0.7))) {
-        auto s = rng.normal_vec(dim, 0.0, 3.0);
-        buf.add(s);
-        mirror.push_back(std::move(s));
-      } else {
-        const auto q = rng.normal_vec(dim, 0.0, 3.0);
-        std::vector<double> dists;
-        for (const auto& p : mirror) {
-          double sq = 0;
-          for (std::size_t c = 0; c < dim; ++c)
-            sq += (p[c] - q[c]) * (p[c] - q[c]);
-          dists.push_back(std::sqrt(sq));
+      for (int op = 0; op < 150; ++op) {
+        if (mirror.rows().empty() || rng.bernoulli(0.6)) {
+          const auto s = rng.normal_vec(dim, 0.0, 3.0);
+          buf.add(s);
+          mirror.add(s);
+          continue;
         }
-        const double got = buf.knn_distance(q);
-        if (dists.size() < k) {
-          ASSERT_TRUE(std::isinf(got));
-        } else {
-          std::nth_element(dists.begin(),
-                           dists.begin() + static_cast<std::ptrdiff_t>(k - 1),
-                           dists.end());
-          ASSERT_NEAR(got, dists[k - 1], 1e-9);
-        }
+        const auto n = static_cast<std::size_t>(rng.uniform_int(1, 9));
+        const auto queries = rng.normal_vec(n * dim, 0.0, 3.0);
+        std::vector<double> got(n);
+        if (n == 1)
+          got[0] = buf.knn_distance_sq(queries.data());
+        else
+          buf.knn_distance_sq_batch(queries.data(), n, got.data());
+        for (std::size_t q = 0; q < n; ++q)
+          ASSERT_EQ(got[q],
+                    testing::kth_sq(mirror.rows(), queries.data() + q * dim, k))
+              << backend << " trial " << trial << " op " << op;
       }
     }
   }

@@ -12,10 +12,12 @@
 
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "common/rng.h"
+#include "knn_oracle.h"
 #include "nn/kernel_backend.h"
 #include "nn/matrix.h"
 
@@ -219,6 +221,44 @@ void run_quant_act_cell(const std::string& backend, std::size_t /*in*/,
     ASSERT_EQ(ref_s[n], got_s[n]) << "scale row " << n;
 }
 
+void run_knn_cell(const std::string& backend, std::size_t dim,
+                  std::size_t rows, std::size_t nq, std::size_t k) {
+  std::string why;
+  const auto* be = lookup(backend, why);
+  if (be == nullptr) GTEST_SKIP() << why;
+  if (be->knn_scan == nullptr)
+    GTEST_SKIP() << backend << " has no knn_scan kernel (dispatch uses scalar)";
+  Rng rng = shaped_rng(dim, rows, nq);
+  // Dim-major rows at a lane-padded stride, as KnnBuffer stores them; every
+  // third row repeats an earlier one (tied distances). The padding lanes
+  // hold query 0 itself, so a kernel that let them through would report a
+  // zero distance.
+  const std::size_t stride =
+      (rows + kernel::kKnnLanes - 1) / kernel::kKnnLanes * kernel::kKnnLanes;
+  const auto queries = randn_vec(nq * dim, rng);
+  std::vector<std::vector<double>> row_major(rows);
+  for (std::size_t r = 0; r < rows; ++r)
+    row_major[r] = r % 3 == 2 ? row_major[r / 2] : randn_vec(dim, rng);
+  std::vector<double> data(dim * stride);
+  for (std::size_t c = 0; c < dim; ++c)
+    for (std::size_t r = 0; r < stride; ++r)
+      data[c * stride + r] = r < rows ? row_major[r][c] : queries[c];
+
+  // Reference: the serial per-row scan with the same insertion.
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<double> ref(nq * k, inf), got(nq * k, inf);
+  for (std::size_t q = 0; q < nq; ++q)
+    for (std::size_t r = 0; r < rows; ++r)
+      kernel::knn_insert(
+          ref.data() + q * k, k,
+          imap::testing::chain_sq(row_major[r].data(),
+                                  queries.data() + q * dim, dim));
+  be->knn_scan(data.data(), stride, rows, dim, queries.data(), nq, k,
+               got.data());
+  for (std::size_t i = 0; i < ref.size(); ++i)
+    ASSERT_EQ(ref[i], got[i]) << "query " << i / k << ", rank " << i % k;
+}
+
 // --- the generated matrix ---------------------------------------------------
 // Shapes: in/out/batch spanning 1, odd, lane-multiple (4/8/16-wide SIMD
 // blocks plus their 16-element unrolled variants), and large. X(tag, in,
@@ -250,21 +290,51 @@ void run_quant_act_cell(const std::string& backend, std::size_t /*in*/,
     run_quant_act_cell(#backend, in_, out_, batch_);                 \
   }
 
+// KNN scan shapes: dims 1–13 (Hopper's 11), row counts on and off the
+// 8-row lane block (the 4096 + 6 one spans many blocks), query counts on and
+// off the 4-query tile, k from 1 to 16, and rows < k (the list stays +inf).
+// X(tag, dim, rows, queries, k).
+#define IMAP_KNN_SHAPE_LIST(X)                \
+  X(Dim1_Rows1_Q1_K1, 1, 1, 1, 1)             \
+  X(Dim3_Rows2_Q3_K3, 3, 2, 3, 3)             \
+  X(Dim2_Rows17_Q9_K5, 2, 17, 9, 5)           \
+  X(Dim8_Rows64_Q8_K1, 8, 64, 8, 1)           \
+  X(Dim11_Rows7_Q5_K3, 11, 7, 5, 3)           \
+  X(Dim11_Rows4102_Q6_K3, 11, 4102, 6, 3)     \
+  X(Dim13_Rows100_Q4_K16, 13, 100, 4, 16)
+
+#define IMAP_KNN_CELL(backend, tag, dim_, rows_, nq_, k_) \
+  TEST(KernelMatrix_##backend, KnnScan_##tag) {           \
+    run_knn_cell(#backend, dim_, rows_, nq_, k_);         \
+  }
+
 #define IMAP_CELL_SCALAR(tag, in_, out_, batch_) \
   IMAP_KERNEL_CELL(scalar, tag, in_, out_, batch_)
 IMAP_KERNEL_SHAPE_LIST(IMAP_CELL_SCALAR)
+#define IMAP_KNN_SCALAR(tag, dim_, rows_, nq_, k_) \
+  IMAP_KNN_CELL(scalar, tag, dim_, rows_, nq_, k_)
+IMAP_KNN_SHAPE_LIST(IMAP_KNN_SCALAR)
 
 #define IMAP_CELL_AVX2(tag, in_, out_, batch_) \
   IMAP_KERNEL_CELL(avx2, tag, in_, out_, batch_)
 IMAP_KERNEL_SHAPE_LIST(IMAP_CELL_AVX2)
+#define IMAP_KNN_AVX2(tag, dim_, rows_, nq_, k_) \
+  IMAP_KNN_CELL(avx2, tag, dim_, rows_, nq_, k_)
+IMAP_KNN_SHAPE_LIST(IMAP_KNN_AVX2)
 
 #define IMAP_CELL_AVX512(tag, in_, out_, batch_) \
   IMAP_KERNEL_CELL(avx512, tag, in_, out_, batch_)
 IMAP_KERNEL_SHAPE_LIST(IMAP_CELL_AVX512)
+#define IMAP_KNN_AVX512(tag, dim_, rows_, nq_, k_) \
+  IMAP_KNN_CELL(avx512, tag, dim_, rows_, nq_, k_)
+IMAP_KNN_SHAPE_LIST(IMAP_KNN_AVX512)
 
 #define IMAP_CELL_NEON(tag, in_, out_, batch_) \
   IMAP_KERNEL_CELL(neon, tag, in_, out_, batch_)
 IMAP_KERNEL_SHAPE_LIST(IMAP_CELL_NEON)
+#define IMAP_KNN_NEON(tag, dim_, rows_, nq_, k_) \
+  IMAP_KNN_CELL(neon, tag, dim_, rows_, nq_, k_)
+IMAP_KNN_SHAPE_LIST(IMAP_KNN_NEON)
 
 // --- dispatch-level behaviour ----------------------------------------------
 

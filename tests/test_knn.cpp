@@ -3,9 +3,13 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <string>
+#include <vector>
 
 #include "common/check.h"
 #include "core/knn.h"
+#include "knn_oracle.h"
+#include "nn/kernel_backend.h"
 
 namespace imap::core {
 namespace {
@@ -44,24 +48,42 @@ TEST(Knn, DensityInverseOfDistance) {
 }
 
 TEST(Knn, MatchesBruteForceOnRandomData) {
-  Rng rng(7);
-  const std::size_t dim = 5, n = 200, k = 3;
-  KnnBuffer buf(dim, n, k, rng.split(1));
-  std::vector<std::vector<double>> data;
-  for (std::size_t i = 0; i < n; ++i) {
-    data.push_back(rng.normal_vec(dim));
-    buf.add(data.back());
-  }
-  for (int trial = 0; trial < 20; ++trial) {
-    const auto q = rng.normal_vec(dim);
-    std::vector<double> dists;
-    for (const auto& p : data) {
-      double sq = 0;
-      for (std::size_t c = 0; c < dim; ++c) sq += (p[c] - q[c]) * (p[c] - q[c]);
-      dists.push_back(std::sqrt(sq));
+  // Dims 1–13 (Hopper's is 11); capacities on and off the 8-row lane block;
+  // three times as many adds as slots, so reservoir replacement rewrites the
+  // dim-major columns; query counts never a multiple of the 4-query tile,
+  // some queries duplicating stored rows (distance 0). Every backend must
+  // return the brute-force squared distance bit for bit through both the
+  // batch and the single-query entry.
+  for (const std::string& backend : testing::runnable_backends()) {
+    nn::kernel::ScopedBackend forced(backend);
+    ASSERT_TRUE(forced.activated());
+    for (std::size_t dim = 1; dim <= 13; ++dim) {
+      Rng rng(7 + dim);
+      const std::size_t k = 1 + dim % 4, cap = 5 * dim + 3, nq = 4 * dim + 3;
+      const Rng stream(100 + dim);
+      KnnBuffer buf(dim, cap, k, stream);
+      testing::ReservoirMirror mirror(cap, stream);
+      for (std::size_t i = 0; i < 3 * cap; ++i) {
+        const auto s = rng.normal_vec(dim);
+        buf.add(s);
+        mirror.add(s);
+      }
+      ASSERT_EQ(buf.size(), mirror.rows().size());
+      std::vector<double> queries;
+      for (std::size_t q = 0; q < nq; ++q) {
+        const auto s =
+            q % 3 == 0 ? mirror.rows()[q % cap] : rng.normal_vec(dim);
+        queries.insert(queries.end(), s.begin(), s.end());
+      }
+      std::vector<double> got(nq);
+      buf.knn_distance_sq_batch(queries.data(), nq, got.data());
+      for (std::size_t q = 0; q < nq; ++q) {
+        const double* qp = queries.data() + q * dim;
+        const double want = testing::kth_sq(mirror.rows(), qp, k);
+        EXPECT_EQ(got[q], want) << backend << " dim " << dim << " query " << q;
+        EXPECT_EQ(buf.knn_distance_sq(qp), want) << backend << " dim " << dim;
+      }
     }
-    std::nth_element(dists.begin(), dists.begin() + (k - 1), dists.end());
-    EXPECT_NEAR(buf.knn_distance(q), dists[k - 1], 1e-9);
   }
 }
 

@@ -85,29 +85,32 @@ TEST(ParallelDeterminism, LegacySerialOptionsUnaffectedByPool) {
 }
 
 TEST(ParallelDeterminism, KnnQueriesIdenticalFor1And4Threads) {
-  constexpr std::size_t dim = 8, rows = 3000, k = 3;
+  // 30 queries: seven full 4-query tiles and a partial one, split across
+  // pool threads by tile.
+  constexpr std::size_t dim = 8, rows = 3000, k = 3, nq = 30;
   Rng rng(42);
   core::KnnBuffer buf(dim, rows, k, rng.split(1));
   for (std::size_t i = 0; i < rows; ++i) buf.add(rng.normal_vec(dim));
+  const auto queries = rng.normal_vec(nq * dim);
 
-  std::vector<std::vector<double>> queries;
-  for (int q = 0; q < 32; ++q) queries.push_back(rng.normal_vec(dim));
-
-  std::vector<double> serial_d, pooled_d;
+  std::vector<double> serial_sq(nq), pooled_sq(nq);
   {
     ScopedSerial serial;
-    for (const auto& q : queries) serial_d.push_back(buf.knn_distance(q));
+    buf.knn_distance_sq_batch(queries.data(), nq, serial_sq.data());
   }
   {
     ThreadPool pool(4);
     ScopedPool scope(pool);
-    for (const auto& q : queries) pooled_d.push_back(buf.knn_distance(q));
+    buf.knn_distance_sq_batch(queries.data(), nq, pooled_sq.data());
   }
-  EXPECT_EQ(serial_d, pooled_d);
+  EXPECT_EQ(serial_sq, pooled_sq);
 
-  // The sq path must agree with the public distance exactly.
-  for (std::size_t i = 0; i < queries.size(); ++i)
-    EXPECT_EQ(std::sqrt(buf.knn_distance_sq(queries[i])), serial_d[i]);
+  // The single-query entries are the same scan, bit for bit.
+  for (std::size_t i = 0; i < nq; ++i) {
+    const double* q = queries.data() + i * dim;
+    EXPECT_EQ(buf.knn_distance_sq(q), serial_sq[i]);
+    EXPECT_EQ(buf.knn_distance(q), std::sqrt(serial_sq[i]));
+  }
 }
 
 TEST(ParallelDeterminism, ExperimentCellIdenticalFor1And4Threads) {

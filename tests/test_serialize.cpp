@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <climits>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -316,6 +317,51 @@ TEST_F(SerializeTest, KnnBufferRoundTripContinuesReservoir) {
   core::KnnBuffer wrong(4, 16, 2, Rng(0));
   BinaryReader r2(w.buffer());
   EXPECT_THROW(wrong.load_state(r2), CheckError);
+}
+
+// A KNN checkpoint written field by field (the layout save_state emits), so
+// tests can state counters no live buffer reaches.
+std::vector<std::uint8_t> knn_archive(std::uint64_t size, std::uint64_t total,
+                                      std::size_t rows) {
+  BinaryWriter w;
+  w.write_u64(2);   // dim
+  w.write_u64(4);   // capacity
+  w.write_u64(1);   // k
+  Rng(5).save_state(w);
+  w.write_u64(size);
+  w.write_u64(total);
+  w.write_vec(std::vector<double>(2 * rows, 0.5));
+  return w.buffer();
+}
+
+TEST_F(SerializeTest, KnnBufferRejectsInconsistentCounters) {
+  const auto load = [](std::uint64_t size, std::uint64_t total,
+                       std::size_t rows) {
+    core::KnnBuffer knn(2, 4, 1, Rng(0));
+    BinaryReader r(knn_archive(size, total, rows));
+    knn.load_state(r);
+    return knn;
+  };
+  EXPECT_NO_THROW(load(3, 3, 3));
+  EXPECT_NO_THROW(load(4, 9, 4));
+  EXPECT_THROW(load(5, 5, 5), CheckError);   // size > capacity
+  EXPECT_THROW(load(3, 2, 3), CheckError);   // total < size
+  EXPECT_THROW(load(3, 9, 3), CheckError);   // not full, yet past capacity
+  EXPECT_THROW(load(3, 3, 2), CheckError);   // rows disagree with size
+  // The reservoir draws uniform_int(0, total − 1) over int.
+  EXPECT_THROW(load(4, std::uint64_t{INT_MAX} + 1, 4), CheckError);
+  EXPECT_THROW(load(4, ~std::uint64_t{0}, 4), CheckError);
+}
+
+TEST_F(SerializeTest, KnnBufferRefusesToCountPastIntMax) {
+  core::KnnBuffer knn(2, 4, 1, Rng(0));
+  BinaryReader r(knn_archive(4, INT_MAX - 1, 4));
+  knn.load_state(r);
+  const std::vector<double> s = {1.0, 2.0};
+  knn.add(s);  // the last count whose draw fits an int
+  EXPECT_EQ(knn.total_added(), static_cast<std::size_t>(INT_MAX));
+  EXPECT_THROW(knn.add(s), CheckError);
+  EXPECT_EQ(knn.total_added(), static_cast<std::size_t>(INT_MAX));
 }
 
 TEST_F(SerializeTest, BiasReductionRoundTripContinuesDual) {

@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -139,6 +140,27 @@ TEST(HttpParse, RejectsMalformedContentLength) {
   ASSERT_EQ(parse_request(buf, req), ParseStatus::Ok);
   EXPECT_EQ(req.body, "abc");
   EXPECT_TRUE(buf.empty());
+}
+
+TEST(HttpParse, ParamLlTakesOnlyWholeInRangeIntegers) {
+  HttpRequest req;
+  const auto ll = [&req](const std::string& value) {
+    req.params["n"] = value;
+    return req.param_ll("n", -42);
+  };
+  EXPECT_EQ(ll("7"), 7);
+  EXPECT_EQ(ll("-7"), -7);
+  EXPECT_EQ(ll("9223372036854775807"), std::numeric_limits<long long>::max());
+  EXPECT_EQ(ll("-9223372036854775808"), std::numeric_limits<long long>::min());
+  // Overflow is the fallback, never a saturated LLONG_MAX / LLONG_MIN.
+  for (const std::string& bad :
+       {std::string("99999999999999999999"),
+        std::string("-99999999999999999999"),
+        std::string("9223372036854775808"),
+        std::string(" 7"), std::string("+7"), std::string("7abc"),
+        std::string("7 "), std::string(""), std::string("-")})
+    EXPECT_EQ(ll(bad), -42) << "value '" << bad << "'";
+  EXPECT_EQ(req.param_ll("absent", -42), -42);
 }
 
 TEST(HttpParse, ResponseRoundTripShape) {
@@ -648,6 +670,20 @@ TEST_F(ServerTest, ScenarioInferServesBaseVictimAndReportsThreatModel) {
   EXPECT_EQ(status_of(roundtrip("POST", "/infer?scenario=hopper+bogus:1",
                                 format_row(obs))),
             400);
+}
+
+TEST_F(ServerTest, AttackTrainRejectsOutOfRangeEpisodes) {
+  // Each would narrow to a negative or wrapped int episode count; none may
+  // queue a job.
+  for (const std::string& bad :
+       {std::string("3000000000"), std::string("99999999999999999999"),
+        std::string("-1"), std::string("2x"), std::string("")})
+    EXPECT_EQ(status_of(roundtrip("POST",
+                                  "/attack/train?env=Hopper&attack=Random&"
+                                  "steps=512&episodes=" + bad)),
+              400)
+        << "episodes=" << bad;
+  EXPECT_EQ(server_->metrics().jobs_enqueued.get(), 0u);
 }
 
 TEST_F(ServerTest, AttackTrainJobRunsToCompletion) {

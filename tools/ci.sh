@@ -46,7 +46,9 @@ ctest --test-dir "${BUILD_DIR}" --output-on-failure -j "${JOBS}" || exit 1
 stage "sanitizers (ASan+UBSan over the trust-boundary suites)"
 # The suites that feed the system input it does not control — HTTP framing,
 # /infer requests through the server, scenario strings, checkpoint archives
-# and snapshots, fabric frames — plus the seeded numeric fuzz suite run under
+# and snapshots, fabric frames — plus the seeded numeric fuzz suite and the
+# KNN suites (Knn.*, the KernelMatrix_* knn_scan cells: the scan loads whole
+# vectors over the lane-padded tail of the dim-major rows) run under
 # AddressSanitizer + UndefinedBehaviorSanitizer; the first report aborts.
 SAN_DIR="${BUILD_DIR}-san"
 SUPP_DIR="$(pwd)/tools/sanitizers"
@@ -56,7 +58,7 @@ ASAN_OPTIONS="detect_leaks=1:abort_on_error=1:halt_on_error=1:suppressions=${SUP
 LSAN_OPTIONS="suppressions=${SUPP_DIR}/lsan.supp" \
 UBSAN_OPTIONS="print_stacktrace=1:halt_on_error=1:suppressions=${SUPP_DIR}/ubsan.supp" \
   "${SAN_DIR}/tests/imap_tests" \
-  --gtest_filter='HttpParse.*:ServerTest.*:SerializeTest.*:SnapshotTest.*:ScenarioSpec.*:ScenarioEnv.*:Channel.*:Fuzz.*' \
+  --gtest_filter='HttpParse.*:ServerTest.*:SerializeTest.*:SnapshotTest.*:ScenarioSpec.*:ScenarioEnv.*:Channel.*:Fuzz.*:Knn.*:KernelMatrix_*.KnnScan_*' \
   || exit 1
 
 stage "checkpoint/resume (cross-process halt -> inspect -> resume)"
