@@ -12,10 +12,10 @@
 //  * a kernel probe — the batched PPO update timed on one fixed rollout
 //    (hidden {64,64}, minibatch 64), recording seconds per update in
 //    BENCH_kernels.json (committed, see README);
-//  * a rollout probe — the per-sample reference vs vectorized (E = 16
-//    lockstep slots) collection of one VecEnv on the victim-wrapped Hopper,
-//    verifying the rollouts are bit-identical and recording the steps/s in
-//    BENCH_rollout.json (committed, see README).
+//  * a rollout probe — 16 one-slot VecEnvs vs one 16-slot VecEnv (E = 16
+//    lockstep slots) on the same streams over the victim-wrapped Hopper,
+//    verifying the rollouts are bit-identical and recording the steps/s and
+//    their in-run ratio in BENCH_rollout.json (committed, see README).
 // The google-benchmark suites then run as usual.
 
 #include <benchmark/benchmark.h>
@@ -121,10 +121,10 @@ std::unique_ptr<attack::StatePerturbationEnv> make_collect_proto() {
 }
 
 // Rollout collection throughput: Arg = E lockstep env slots. E = 1 is the
-// legacy per-env serial path (one act/log_prob/value/victim forward per
-// step); E >= 4 collects through the vectorized engine, which answers each
-// tick with one batched policy, value and victim forward across the slots.
-// The merged rollout is bit-identical for every E.
+// serial collector (one-row policy, value and victim forwards per step);
+// E >= 4 answers each tick with one batched policy, value and victim
+// forward across the slots. E = 1 collects on the trainer's own stream and
+// E > 1 on per-slot child streams, so the rollouts differ across E.
 void BM_RolloutCollect(benchmark::State& state) {
   const auto proto = make_collect_proto();
   rl::PpoOptions opts;
@@ -297,12 +297,48 @@ double buffer_checksum(const rl::RolloutBuffer& buf) {
   return sum;
 }
 
-/// Time one collection stage of a 16-slot VecEnv on the victim-wrapped
-/// Hopper — the lockstep engine (`collect`) or the per-sample reference loop
-/// (`collect_serial`) — merging the slot buffers in slot order as
-/// PpoTrainer::collect does. Returns (seconds per collect, checksum of the
-/// last rollout) so the modes can be compared for throughput and identity.
-std::pair<double, double> rollout_probe_run(bool vectorized) {
+/// One arm of the rollout probe over 16 slot streams on the victim-wrapped
+/// Hopper: one 16-slot lockstep VecEnv, or 16 one-slot VecEnvs run in turn
+/// (the serial collector). Each collect merges the slot buffers in slot
+/// order as PpoTrainer::collect does.
+class RolloutArm {
+ public:
+  RolloutArm(const rl::Env& proto, const std::vector<Rng>& streams,
+             bool vectorized)
+      : engines_(vectorized ? 1 : streams.size()) {
+    if (vectorized) {
+      engines_[0].configure(proto, streams);
+    } else {
+      for (std::size_t i = 0; i < streams.size(); ++i)
+        engines_[i].configure(proto, {streams[i]});
+    }
+  }
+
+  /// Collect `budgets` (one entry per stream) and return the seconds taken.
+  double collect(const nn::GaussianPolicy& policy, const nn::ValueNet& value_e,
+                 const nn::ValueNet& value_i, const std::vector<int>& budgets) {
+    const auto t0 = std::chrono::steady_clock::now();
+    for (auto& vec : engines_)
+      vec.collect(policy, value_e, value_i, budgets, 0);
+    buf_.clear();
+    buf_.reserve_step(policy.obs_dim(), policy.act_dim());
+    for (auto& vec : engines_)
+      for (std::size_t i = 0; i < vec.size(); ++i) buf_.append(vec.slot(i).buf);
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+        .count();
+  }
+
+  const rl::RolloutBuffer& buffer() const { return buf_; }
+
+ private:
+  std::vector<rl::VecEnv> engines_;
+  rl::RolloutBuffer buf_;
+};
+
+/// Time the serial and the 16-slot arm over the same 16 slot streams,
+/// alternating one collect of each per round so a shift in the machine's
+/// speed lands on both arms: their ratio is an in-run measurement.
+void rollout_probe() {
   ScopedSerial serial;  // isolate the batching speedup from thread scaling
   const auto proto = make_collect_proto();
   constexpr std::size_t kSlots = 16;
@@ -314,52 +350,40 @@ std::pair<double, double> rollout_probe_run(bool vectorized) {
   const nn::ValueNet value_i(proto->obs_dim(), {64, 64}, rng);
   std::vector<Rng> streams;
   for (std::size_t i = 0; i < kSlots; ++i) streams.push_back(rng.split(i));
-  rl::VecEnv vec;
-  vec.configure(*proto, streams);
   const std::vector<int> budgets(kSlots, kSteps / static_cast<int>(kSlots));
-  rl::RolloutBuffer buf;
-  const auto collect = [&] {
-    if (vectorized)
-      vec.collect(policy, value_e, value_i, budgets, 0);
-    else
-      vec.collect_serial(policy, value_e, value_i, budgets, 0);
-    buf.clear();
-    buf.reserve(kSteps);
-    buf.reserve_step(proto->obs_dim(), proto->act_dim());
-    for (std::size_t i = 0; i < kSlots; ++i) buf.append(vec.slot(i).buf);
-  };
-  collect();  // warm-up: grow buffers and workspaces
-  // Min over repetitions, not mean (see kernel_probe_run). Both modes step
-  // the same slot streams, so rep r's rollout matches across modes and the
-  // last checksum is comparable.
-  constexpr int kCollects = 7;
-  double secs = std::numeric_limits<double>::infinity();
-  for (int i = 0; i < kCollects; ++i) {
-    const auto t0 = std::chrono::steady_clock::now();
-    collect();
-    secs = std::min(
-        secs, std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                            t0)
-                  .count());
+  RolloutArm serial_arm(*proto, streams, false);
+  RolloutArm vectorized_arm(*proto, streams, true);
+  // Warm-up round: grow buffers and workspaces.
+  serial_arm.collect(policy, value_e, value_i, budgets);
+  vectorized_arm.collect(policy, value_e, value_i, budgets);
+  // Min over rounds, not mean (see kernel_probe_run). Both arms step the
+  // same slot streams, so round r's rollouts match across arms and the
+  // last checksums are comparable.
+  constexpr int kRounds = 15;
+  double serial_s = std::numeric_limits<double>::infinity();
+  double vectorized_s = serial_s;
+  for (int i = 0; i < kRounds; ++i) {
+    serial_s = std::min(serial_s,
+                        serial_arm.collect(policy, value_e, value_i, budgets));
+    vectorized_s = std::min(
+        vectorized_s, vectorized_arm.collect(policy, value_e, value_i, budgets));
   }
-  return {secs, buffer_checksum(buf)};
-}
-
-void rollout_probe() {
-  const auto [serial_s, serial_sum] = rollout_probe_run(false);
-  const auto [vectorized_s, vectorized_sum] = rollout_probe_run(true);
-  const double serial_sps = serial_s > 0.0 ? 2048.0 / serial_s : 0.0;
+  const double serial_sps = serial_s > 0.0 ? kSteps / serial_s : 0.0;
   const double vectorized_sps =
-      vectorized_s > 0.0 ? 2048.0 / vectorized_s : 0.0;
+      vectorized_s > 0.0 ? kSteps / vectorized_s : 0.0;
   const double speedup = vectorized_s > 0.0 ? serial_s / vectorized_s : 1.0;
-  const bool identical = serial_sum == vectorized_sum;
+  // Exact on purpose: the arms must agree bit for bit.
+  const bool identical =
+      buffer_checksum(serial_arm.buffer()) ==  // imap-check: allow(float-eq)
+      buffer_checksum(vectorized_arm.buffer());
 
   std::ostringstream os;
   os.setf(std::ios::fixed);
   os.precision(5);
   os << "{\"env\": \"Hopper\", \"threat_model\": \"StatePerturbationEnv\""
      << ", \"hidden\": [64, 64], \"steps_per_iter\": 2048"
-     << ", \"envs_per_worker\": 16, \"serial_collect_s\": " << serial_s
+     << ", \"envs_per_worker\": 16, \"rounds\": " << kRounds
+     << ", \"serial_collect_s\": " << serial_s
      << ", \"vectorized_collect_s\": " << vectorized_s;
   os.precision(1);
   os << ", \"serial_steps_per_s\": " << serial_sps

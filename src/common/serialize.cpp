@@ -125,7 +125,18 @@ bool BinaryReader::load(const std::string& path, BinaryReader& out) {
 }
 
 void BinaryReader::need(std::size_t n) const {
-  IMAP_CHECK_MSG(pos_ + n <= buf_.size(), "checkpoint truncated");
+  // pos_ <= size() always, so the subtraction cannot wrap.
+  IMAP_CHECK_MSG(n <= buf_.size() - pos_, "checkpoint truncated");
+}
+
+std::uint64_t BinaryReader::read_count(std::size_t elem_bytes) {
+  IMAP_CHECK(elem_bytes > 0);
+  const auto n = read_u64();
+  IMAP_CHECK_MSG(n <= (buf_.size() - pos_) / elem_bytes,
+                 "checkpoint truncated: count " << n << " exceeds the "
+                                                 << buf_.size() - pos_
+                                                 << " unread bytes");
+  return n;
 }
 
 std::uint64_t BinaryReader::read_u64() {
@@ -156,16 +167,14 @@ bool BinaryReader::read_bool() {
 }
 
 std::string BinaryReader::read_string() {
-  const auto n = read_u64();
-  need(n);
+  const auto n = read_count(1);
   std::string s(reinterpret_cast<const char*>(buf_.data() + pos_), n);
   pos_ += n;
   return s;
 }
 
 std::vector<double> BinaryReader::read_vec() {
-  const auto n = read_u64();
-  need(n * sizeof(double));
+  const auto n = read_count(sizeof(double));
   std::vector<double> v(n);
   // An empty vector's data() may be null, and memcpy from/to null is
   // undefined even for zero bytes.
@@ -244,7 +253,7 @@ ArchiveReader ArchiveReader::parse(std::vector<std::uint8_t> data,
               sizeof(count));
   std::size_t pos = kHeader;
   const auto take_u64 = [&](const char* field) {
-    IMAP_CHECK_MSG(pos + sizeof(std::uint64_t) <= body,
+    IMAP_CHECK_MSG(sizeof(std::uint64_t) <= body - pos,
                    "checkpoint truncated at " << field << ": " << what);
     std::uint64_t v = 0;
     std::memcpy(&v, data.data() + pos, sizeof(v));
@@ -253,13 +262,14 @@ ArchiveReader ArchiveReader::parse(std::vector<std::uint8_t> data,
   };
   for (std::uint64_t i = 0; i < count; ++i) {
     const std::uint64_t name_len = take_u64("section name length");
-    IMAP_CHECK_MSG(pos + name_len <= body,
+    // pos <= body always, so the subtractions below cannot wrap.
+    IMAP_CHECK_MSG(name_len <= body - pos,
                    "checkpoint truncated at section name: " << what);
     std::string name(reinterpret_cast<const char*>(data.data() + pos),
                      name_len);
     pos += name_len;
     const std::uint64_t payload_len = take_u64("section payload length");
-    IMAP_CHECK_MSG(pos + payload_len <= body,
+    IMAP_CHECK_MSG(payload_len <= body - pos,
                    "checkpoint truncated at section payload: " << what);
     out.sections_.emplace_back(
         std::move(name),

@@ -60,6 +60,12 @@ class BinaryReader {
   std::string read_string();
   std::vector<double> read_vec();
 
+  /// Read a u64 element count and check that that many elements of
+  /// `elem_bytes` (≥ 1) each fit in the unread bytes — by division, so no
+  /// count can overflow the check. A corrupt or crafted count throws
+  /// CheckError before anything is allocated from it.
+  std::uint64_t read_count(std::size_t elem_bytes);
+
   bool exhausted() const { return pos_ == buf_.size(); }
 
  private:

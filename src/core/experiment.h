@@ -72,6 +72,14 @@ struct AttackOutcome {
   double asr() const { return 1.0 - victim_eval.success_rate; }
 };
 
+/// The result codec shared by the result cache (`<zoo_dir>/results/*.res`)
+/// and the DAG fabric's reply frames: the victim evaluation, then the
+/// learning curve (plan and `completed` are not part of it). read_result
+/// checks every count against the unread bytes before allocating, so a
+/// corrupt or crafted count throws CheckError.
+void write_result(BinaryWriter& w, const AttackOutcome& out);
+void read_result(BinaryReader& r, AttackOutcome& out);
+
 /// Shared harness behind all bench binaries: owns the zoo, derives budgets
 /// from BenchConfig, trains the requested attack and evaluates it against
 /// the deployed victim.

@@ -58,39 +58,16 @@ AttackPlan read_plan(BinaryReader& r) {
   return p;
 }
 
-// Mirrors ExperimentRunner's result-cache field order so a wire outcome and
-// a cached outcome decode identically.
+// The cache's result codec behind a leading `completed` flag.
 void write_outcome(BinaryWriter& w, const AttackOutcome& out) {
   w.write_bool(out.completed);
-  w.write_f64(out.victim_eval.returns.mean);
-  w.write_f64(out.victim_eval.returns.stddev);
-  w.write_u64(out.victim_eval.returns.episodes);
-  w.write_f64(out.victim_eval.success_rate);
-  w.write_f64(out.victim_eval.mean_length);
-  w.write_vec(out.victim_eval.episode_returns);
-  w.write_u64(out.curve.size());
-  for (const auto& p : out.curve) {
-    w.write_i64(p.steps);
-    w.write_f64(p.victim_success);
-    w.write_f64(p.tau);
-  }
+  write_result(w, out);
 }
 
 AttackOutcome read_outcome(BinaryReader& r) {
   AttackOutcome out;
   out.completed = r.read_bool();
-  out.victim_eval.returns.mean = r.read_f64();
-  out.victim_eval.returns.stddev = r.read_f64();
-  out.victim_eval.returns.episodes = r.read_u64();
-  out.victim_eval.success_rate = r.read_f64();
-  out.victim_eval.mean_length = r.read_f64();
-  out.victim_eval.episode_returns = r.read_vec();
-  out.curve.resize(r.read_u64());
-  for (auto& p : out.curve) {
-    p.steps = r.read_i64();
-    p.victim_success = r.read_f64();
-    p.tau = r.read_f64();
-  }
+  read_result(r, out);
   return out;
 }
 

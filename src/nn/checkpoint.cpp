@@ -17,7 +17,7 @@ void write_sizes(BinaryWriter& w, const std::vector<std::size_t>& sizes) {
 }
 
 std::vector<std::size_t> read_sizes(BinaryReader& r) {
-  const auto n = r.read_u64();
+  const auto n = r.read_count(sizeof(std::uint64_t));
   std::vector<std::size_t> sizes(n);
   for (auto& s : sizes) s = r.read_u64();
   return sizes;

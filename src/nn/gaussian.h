@@ -25,16 +25,6 @@ double entropy(const std::vector<double>& log_std);
 double kl(const std::vector<double>& mean_p, const std::vector<double>& ls_p,
           const std::vector<double>& mean_q, const std::vector<double>& ls_q);
 
-/// d log_prob / d mean (per-dim).
-std::vector<double> dlogp_dmean(const std::vector<double>& a,
-                                const std::vector<double>& mean,
-                                const std::vector<double>& log_std);
-
-/// d log_prob / d log_std (per-dim).
-std::vector<double> dlogp_dlogstd(const std::vector<double>& a,
-                                  const std::vector<double>& mean,
-                                  const std::vector<double>& log_std);
-
 }  // namespace diag_gaussian
 
 /// Stochastic policy π(a|s) = N(μ_θ(s), diag(exp(log_std))²) with a
@@ -52,25 +42,8 @@ class GaussianPolicy {
   /// Deterministic action (the mean) — used for deployed/frozen victims.
   std::vector<double> mean_action(const std::vector<double>& obs) const;
 
-  /// Sampled action.
-  std::vector<double> act(const std::vector<double>& obs, Rng& rng) const;
-
-  /// Allocation-free act() for per-step collection loops: the action lands
-  /// in `out`, `scratch` is the forward ping-pong partner; both buffers grow
-  /// once and are reused. Same RNG draw sequence, bit-identical to act().
-  void act_into(const std::vector<double>& obs, Rng& rng,
-                std::vector<double>& out, std::vector<double>& scratch) const;
-
-  /// log π(a|s), recomputing the forward pass.
-  double log_prob(const std::vector<double>& obs,
-                  const std::vector<double>& act) const;
-
   /// Policy entropy (state-independent).
   double entropy() const;
-
-  /// Forward with activation tape (for training); returns the mean.
-  std::vector<double> mean_tape(const std::vector<double>& obs,
-                                Mlp::Tape& tape) const;
 
   /// Batched mean forward on the policy-owned workspace, recording the
   /// batched tape for a later backward_logp_batch. Returns the mean rows
@@ -84,20 +57,14 @@ class GaussianPolicy {
   const Batch& mean_batch(const Batch& obs, Mlp::Workspace& ws) const;
 
   /// log π(a_n|s_n) for every row of a minibatch, written into `out`
-  /// (resized to obs.rows()). Bit-identical to per-row log_prob(). Records
-  /// the mean tape like mean_batch.
+  /// (resized to obs.rows()). Records the mean tape like mean_batch.
   void log_prob_batch(const Batch& obs, const Batch& act,
                       std::vector<double>& out);
 
-  /// Accumulate coeff · ∇_θ log π(a|s) into the gradient buffers. The tape
-  /// must come from mean_tape(obs). Used by the PPO policy-gradient step
-  /// (coeff = clipped advantage weight) and by behaviour cloning.
-  void backward_logp(const Mlp::Tape& tape, const std::vector<double>& act,
-                     double coeff);
-
-  /// Batched backward_logp over the tape recorded by the last
-  /// mean_batch/log_prob_batch: accumulates Σ_n coeff[n]·∇_θ log π(a_n|s_n).
-  /// Bit-identical to calling backward_logp once per row in ascending row
+  /// Accumulate Σ_n coeff[n]·∇_θ log π(a_n|s_n) into the gradient buffers,
+  /// over the tape recorded by the last mean_batch/log_prob_batch. Used by
+  /// the PPO policy-gradient step (coeff = clipped advantage weight) and by
+  /// behaviour cloning. Bit-identical to one-row batches in ascending row
   /// order (coeff[n] = 0 rows contribute exact zeros).
   void backward_logp_batch(const Batch& act, const std::vector<double>& coeff);
 
@@ -143,7 +110,6 @@ class ValueNet {
   ValueNet(std::size_t obs_dim, std::vector<std::size_t> hidden, Rng& rng);
 
   double value(const std::vector<double>& obs) const;
-  double value_tape(const std::vector<double>& obs, Mlp::Tape& tape) const;
 
   /// V(s_n) for every row of a minibatch, written into `out` (resized to
   /// obs.rows()); records the batched tape for a later backward_batch.
@@ -157,12 +123,9 @@ class ValueNet {
   void value_batch(const Batch& obs, Mlp::Workspace& ws,
                    std::vector<double>& out) const;
 
-  /// Accumulate coeff · ∇_θ V(s) into gradients (coeff = dL/dV).
-  void backward(const Mlp::Tape& tape, double coeff);
-
   /// Batched critic backward over the tape recorded by the last
-  /// value_batch: accumulates Σ_n coeff[n]·∇_θ V(s_n). Bit-identical to
-  /// per-row backward() in ascending row order.
+  /// value_batch: accumulates Σ_n coeff[n]·∇_θ V(s_n) (coeff = dL/dV).
+  /// Bit-identical to one-row batches in ascending row order.
   void backward_batch(const std::vector<double>& coeff);
 
   std::vector<double>& params() { return net_.params(); }

@@ -27,8 +27,6 @@ bool cpu_has_avx512() {
 // transpose the SIMD batch_affine pays an O(out·in) transpose per call, so
 // scalar wins at batch 1 and the SIMD path from batch 2 on; with
 // Mlp::Workspace's cached transpose it wins from batch 1 (~9x at 64x64).
-// NEON keeps the conservative pre-refactor gate of 4 — no aarch64 reference
-// host to re-measure on; revisit when one is available.
 const KernelBackend kScalar = {
     "scalar",          &always_supported,
     &detail::scalar_batch_affine,
@@ -72,21 +70,6 @@ const KernelBackend kAvx512 = {
 };
 #endif
 
-#ifdef IMAP_KERNEL_NEON
-const KernelBackend kNeon = {
-    "neon",            &always_supported,
-    &detail::neon_batch_affine,
-    &detail::neon_batch_matvec_t,
-    &detail::neon_batch_outer_acc,
-    /*quant_affine=*/nullptr,
-    /*quant_act=*/nullptr,
-    /*knn_scan=*/nullptr,
-    /*wants_transposed=*/true,
-    /*min_batch_affine=*/4,
-    /*min_batch_affine_cached=*/1,
-};
-#endif
-
 // Widest first: auto-selection walks this list and takes the first backend
 // whose CPUID probe passes.
 const std::vector<const KernelBackend*>& registry() {
@@ -96,9 +79,6 @@ const std::vector<const KernelBackend*>& registry() {
 #endif
 #ifdef IMAP_KERNEL_AVX2
       &kAvx2,
-#endif
-#ifdef IMAP_KERNEL_NEON
-      &kNeon,
 #endif
       &kScalar,
   };
@@ -111,39 +91,37 @@ const KernelBackend* widest_supported() {
   return &kScalar;
 }
 
-// IMAP_KERNEL resolution, done once. An unknown or CPU-unsupported request
-// warns and falls back to auto so forced-backend ctest entries stay portable
-// to machines without the wider ISA.
-const KernelBackend* resolve_env_choice() {
-  const char* env = std::getenv("IMAP_KERNEL");
-  if (env == nullptr || *env == '\0' || std::strcmp(env, "auto") == 0)
-    return widest_supported();
-  const KernelBackend* be = find_backend(env);
+const KernelBackend* g_forced = nullptr;
+
+}  // namespace
+
+const KernelBackend& resolve_backend_choice(const char* choice) {
+  if (choice == nullptr || *choice == '\0' || std::strcmp(choice, "auto") == 0)
+    return *widest_supported();
+  const KernelBackend* be = find_backend(choice);
   if (be == nullptr) {
     std::fprintf(stderr,
                  "[imap] IMAP_KERNEL=%s: backend not compiled into this "
                  "binary; using auto selection\n",
-                 env);
-    return widest_supported();
+                 choice);
+    return *widest_supported();
   }
   if (!be->supported()) {
     std::fprintf(stderr,
                  "[imap] IMAP_KERNEL=%s: backend unsupported on this CPU; "
                  "using auto selection\n",
-                 env);
-    return widest_supported();
+                 choice);
+    return *widest_supported();
   }
-  return be;
+  return *be;
 }
-
-const KernelBackend* g_forced = nullptr;
-
-}  // namespace
 
 const KernelBackend& active_backend() {
   if (g_forced != nullptr) return *g_forced;
-  static const KernelBackend* resolved = resolve_env_choice();
-  return *resolved;
+  // IMAP_KERNEL is resolved once per process.
+  static const KernelBackend& resolved =
+      resolve_backend_choice(std::getenv("IMAP_KERNEL"));
+  return resolved;
 }
 
 const KernelBackend& scalar_backend() { return kScalar; }

@@ -62,8 +62,8 @@ inline void knn_insert(double* best, std::size_t k, double sq) {
 
 /// One SIMD (or scalar) implementation of the batched kernel set. Backends
 /// are compiled-in per architecture (scalar everywhere; avx2/avx512 on
-/// x86-64; neon on aarch64) and selected at runtime: CPUID picks the widest
-/// supported one, `IMAP_KERNEL=auto|scalar|avx2|avx512|neon` overrides.
+/// x86-64) and selected at runtime: CPUID picks the widest supported one,
+/// `IMAP_KERNEL=auto|scalar|avx2|avx512` overrides.
 ///
 /// Every backend honours the determinism contract of `kernel::` (see
 /// nn/matrix.h): lanes only across independent output elements, separate
@@ -151,6 +151,12 @@ struct KernelBackend {
 /// (tests), else the IMAP_KERNEL choice, else the widest CPU-supported one.
 const KernelBackend& active_backend();
 
+/// The backend an IMAP_KERNEL value selects: null, empty or "auto" is the
+/// widest CPU-supported backend; a name not compiled in or not runnable on
+/// this CPU prints a one-line warning to stderr and falls back to auto, so
+/// forced-backend runs stay portable to hosts without the wider ISA.
+const KernelBackend& resolve_backend_choice(const char* choice);
+
 /// The scalar reference backend (always compiled, always supported).
 const KernelBackend& scalar_backend();
 
@@ -158,7 +164,8 @@ const KernelBackend& scalar_backend();
 /// this CPU not implied — check supported()).
 const std::vector<const KernelBackend*>& all_backends();
 
-/// Compiled-in backend by name, or nullptr (e.g. "neon" on an x86 build).
+/// Compiled-in backend by name, or nullptr (e.g. "avx2" on an aarch64
+/// build).
 const KernelBackend* find_backend(const std::string& name);
 
 /// Test hook: force `be` (nullptr = back to env/CPU resolution). Returns the

@@ -106,16 +106,4 @@ void avx512_knn_scan(const double* data, std::size_t stride, std::size_t rows,
                      std::size_t k, double* best);
 #endif
 
-// --- neon (aarch64; asimd is baseline, no extra ISA flags needed) ----------
-#ifdef IMAP_KERNEL_NEON
-void neon_batch_affine(const double* w, const double* wt, const double* b,
-                       std::size_t out, std::size_t in, const double* x,
-                       std::size_t batch, double* y);
-void neon_batch_matvec_t(const double* w, std::size_t out, std::size_t in,
-                         const double* g, std::size_t batch, double* gin);
-void neon_batch_outer_acc(const double* g, const double* x, std::size_t batch,
-                          std::size_t out, std::size_t in, double* dw,
-                          double* db);
-#endif
-
 }  // namespace imap::nn::kernel::detail

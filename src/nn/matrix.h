@@ -4,14 +4,13 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/rng.h"
 
 namespace imap::nn {
 
-/// The shared dense kernels every matrix/MLP code path routes through —
-/// per-sample (Matrix::matvec, Mlp::layer forward/backward) and batched
-/// (Mlp::forward_batch / backward_batch) alike. One implementation, one
-/// summation order.
+/// The shared dense kernels every MLP code path routes through — the
+/// per-row inference forward (Mlp::forward) and the batched training and
+/// inference passes (Mlp::forward_batch / backward_batch) alike. One
+/// implementation, one summation order.
 ///
 /// Determinism contract: for each output element the reduction over the
 /// contraction dimension runs sequentially in ascending index order,
@@ -24,7 +23,7 @@ namespace imap::nn {
 /// on any hardware.
 ///
 /// The batched entry points below dispatch to a runtime-selected backend
-/// (scalar / avx2 / avx512 / neon, see nn/kernel_backend.h). Selection is
+/// (scalar / avx2 / avx512, see nn/kernel_backend.h). Selection is
 /// CPUID-driven with an `IMAP_KERNEL` override; because every backend obeys
 /// the contract, the choice affects throughput only, never bits.
 namespace kernel {
@@ -75,7 +74,7 @@ void batch_outer_acc(const double* g, const double* x, std::size_t batch,
 ///             + bias[r]
 /// with exact int32 accumulation over column pairs. Dispatches to the
 /// active backend's int8 path, or the scalar reference when the backend
-/// has none (e.g. neon); bit-identical across backends either way.
+/// has none; bit-identical across backends either way.
 void quant_affine(const std::int16_t* wq_packed, const float* row_scale,
                   const float* bias, std::size_t out, std::size_t in_pairs,
                   const std::int16_t* xq, const float* xscale,
@@ -90,60 +89,5 @@ void quant_act(float* h, std::size_t batch, std::size_t width,
                std::size_t out_pairs, std::int16_t* qx, float* qscale);
 
 }  // namespace kernel
-
-/// Dense row-major matrix of doubles. This is deliberately a small value
-/// type: the networks in this library are tiny (observation dims ≤ 32,
-/// hidden widths ≤ 64), so clarity beats BLAS.
-class Matrix {
- public:
-  Matrix() = default;
-  Matrix(std::size_t rows, std::size_t cols, double fill = 0.0);
-
-  static Matrix randn(std::size_t rows, std::size_t cols, Rng& rng,
-                      double stddev);
-
-  double& operator()(std::size_t r, std::size_t c) {
-    return data_[r * cols_ + c];
-  }
-  double operator()(std::size_t r, std::size_t c) const {
-    return data_[r * cols_ + c];
-  }
-
-  std::size_t rows() const { return rows_; }
-  std::size_t cols() const { return cols_; }
-  std::size_t size() const { return data_.size(); }
-
-  std::vector<double>& data() { return data_; }
-  const std::vector<double>& data() const { return data_; }
-
-  /// y = M x  (x.size() == cols).
-  std::vector<double> matvec(const std::vector<double>& x) const;
-
-  /// y = Mᵀ x  (x.size() == rows).
-  std::vector<double> matvec_transposed(const std::vector<double>& x) const;
-
-  /// M += outer(u, v) * scale, with u.size()==rows, v.size()==cols.
-  void add_outer(const std::vector<double>& u, const std::vector<double>& v,
-                 double scale = 1.0);
-
-  void fill(double v);
-
- private:
-  std::size_t rows_ = 0;
-  std::size_t cols_ = 0;
-  std::vector<double> data_;
-};
-
-/// Elementwise helpers over flat vectors (used throughout the nn/rl code).
-void axpy(std::vector<double>& y, double a, const std::vector<double>& x);
-double dot(const std::vector<double>& a, const std::vector<double>& b);
-double l2norm(const std::vector<double>& a);
-double linf_norm(const std::vector<double>& a);
-std::vector<double> sub(const std::vector<double>& a,
-                        const std::vector<double>& b);
-std::vector<double> add(const std::vector<double>& a,
-                        const std::vector<double>& b);
-void scale_inplace(std::vector<double>& a, double s);
-void clamp_inplace(std::vector<double>& a, double lo, double hi);
 
 }  // namespace imap::nn

@@ -15,8 +15,10 @@ namespace imap::nn {
 ///
 /// Parameters and gradients live in flat vectors so an optimiser (Adam) can
 /// treat the whole network as one parameter block; per-layer (W, b) views
-/// index into the flats. Forward passes for training cache activations in a
-/// caller-owned Tape so the same network can be used re-entrantly.
+/// index into the flats. Training passes are batched: forward_batch records
+/// the activations in a Workspace (caller-owned, or the network's own) that
+/// backward_batch / input_gradient_batch then read, so the same network can
+/// be used re-entrantly with one workspace per thread.
 class Mlp {
  public:
   /// `sizes` = {in, hidden..., out}. Weights ~ N(0, 1/sqrt(fan_in)) scaled by
@@ -24,47 +26,11 @@ class Mlp {
   /// standard for policy heads.
   Mlp(std::vector<std::size_t> sizes, Rng& rng, double init_scale = 1.0);
 
-  /// Inference forward (no caching).
+  /// Per-row inference forward (no caching) through the same kernel::affine
+  /// chain as the batched path — bit-identical to a one-row forward_batch.
+  /// The entry point for per-sample inference (frozen-victim queries,
+  /// evaluation, critics of single states).
   std::vector<double> forward(const std::vector<double>& x) const;
-
-  /// Allocation-free inference forward for per-step callers: `out` receives
-  /// the output, `scratch` is the ping-pong partner; both grow once and are
-  /// reused across calls. Bit-identical to forward().
-  void forward_into(const std::vector<double>& x, std::vector<double>& out,
-                    std::vector<double>& scratch) const;
-
-  /// Activation cache for one forward pass.
-  struct Tape {
-    std::vector<std::vector<double>> pre;   ///< pre-activations per layer
-    std::vector<std::vector<double>> post;  ///< post-activations (post[0]=x)
-  };
-
-  /// Forward pass that records activations for a later backward.
-  std::vector<double> forward_tape(const std::vector<double>& x,
-                                   Tape& tape) const;
-
-  /// Same pass, but returns a reference to the output activations held by
-  /// the tape instead of copying them out — allocation-free when the tape
-  /// is reused (valid until the tape's next forward).
-  const std::vector<double>& forward_tape_ref(const std::vector<double>& x,
-                                              Tape& tape) const;
-
-  /// Accumulate dL/dparams into the gradient buffer given dL/doutput.
-  /// Returns dL/dinput (useful for adversarial perturbation search).
-  std::vector<double> backward(const Tape& tape,
-                               const std::vector<double>& grad_out);
-
-  /// dL/dinput only, without touching parameter gradients (for FGSM-style
-  /// input-gradient computations by the defenses).
-  std::vector<double> input_gradient(const Tape& tape,
-                                     const std::vector<double>& grad_out) const;
-
-  /// Allocation-free input_gradient: result in `out`, `scratch` is the
-  /// backward ping-pong partner; both reused across calls. Bit-identical.
-  void input_gradient_into(const Tape& tape,
-                           const std::vector<double>& grad_out,
-                           std::vector<double>& out,
-                           std::vector<double>& scratch) const;
 
   /// Reusable arena for the batched kernels: the batched activation tape
   /// (pre/post per layer) plus the backward ping-pong scratch. All buffers
@@ -100,7 +66,7 @@ class Mlp {
   /// Batched inference/training forward: stacks B samples through the
   /// blocked kernels, recording the activation tape in `ws`. Returns the
   /// output rows (a reference into `ws`, valid until the next call).
-  /// Bit-identical to calling forward()/forward_tape() once per row.
+  /// Each row is bit-identical to forward() on that row, for any batch size.
   const Batch& forward_batch(const Batch& x, Workspace& ws) const;
 
   /// Convenience overload on the Mlp-owned workspace (hence non-const:
@@ -110,7 +76,7 @@ class Mlp {
   /// Batched backward through the tape recorded by forward_batch on `ws`:
   /// accumulates dL/dparams into the gradient buffer and returns dL/dinput
   /// rows (reference into `ws`). Gradients are bit-identical to running
-  /// backward() per row in ascending row order.
+  /// one-row batches in ascending row order.
   const Batch& backward_batch(Workspace& ws, const Batch& grad_out);
   const Batch& backward_batch(const Batch& grad_out) {
     return backward_batch(ws_, grad_out);
@@ -132,14 +98,17 @@ class Mlp {
   /// re-acquire it around each mutation so the version advances (writes
   /// through a stored reference are invisible to the counter).
   std::vector<double>& params() {
-    ++weight_version_;
+    weight_version_ = next_weight_version();
     return params_;
   }
   const std::vector<double>& params() const { return params_; }
 
-  /// Monotone counter identifying the current weight values; any mutable
-  /// parameter access advances it. Keys the Workspace transpose cache and
-  /// QuantizedMlp staleness checks.
+  /// Identifies the current weight values, unique across the process: a
+  /// constructor, a mutable parameter access and a load_state each draw a
+  /// fresh value from one counter, and only a copy (same weights) shares
+  /// one. Keys the Workspace transpose cache and QuantizedMlp staleness
+  /// checks, so a workspace that outlives its network never serves stale
+  /// weights to a new network built at the same address.
   std::uint64_t weight_version() const { return weight_version_; }
 
   /// Ensure ws.wt holds this network's current per-layer transposes.
@@ -169,7 +138,9 @@ class Mlp {
   std::vector<LayerView> layers_;
   std::vector<double> params_;
   std::vector<double> grads_;
-  std::uint64_t weight_version_ = 0;
+  static std::uint64_t next_weight_version();
+
+  std::uint64_t weight_version_ = next_weight_version();
   Workspace ws_;  ///< owned arena for the convenience batched overloads
 };
 

@@ -127,10 +127,9 @@ void VecEnv::collect(const nn::GaussianPolicy& policy,
     obs_b_.resize(live, odim);
     for (std::size_t r = 0; r < live; ++r)
       obs_b_.set_row(r, slots_[r].cur_obs);
-    if (obs_norm_ != nullptr) obs_norm_->update_batch(obs_b_);
 
     // One batched mean and one batched value answer the whole tick; each
-    // row is bit-identical to the per-sample forwards of collect_serial.
+    // row is bit-identical to a one-row forward of the same observation.
     const nn::Batch& mu = policy.mean_batch(obs_b_, ws_policy_);
     value_e.value_batch(obs_b_, ws_value_, vals_);
 
@@ -140,9 +139,8 @@ void VecEnv::collect(const nn::GaussianPolicy& policy,
       EnvSlot& s = slots_[r];
       const double* m = mu.row(r);
       double* a = act_b_.row(r);
-      // Same draw order and arithmetic as GaussianPolicy::act on the slot's
-      // own stream, and the same pointer core as log_prob — reusing the
-      // batched mean instead of two more per-sample forwards.
+      // Sample around the batched mean on the slot's own stream, then score
+      // the sample with the same mean row — one forward per tick.
       for (std::size_t d = 0; d < adim; ++d)
         a[d] = m[d] + std::exp(log_std[d]) * s.rng.normal();
       logp_[r] = nn::diag_gaussian::log_prob(a, m, log_std.data(), adim);
@@ -180,32 +178,6 @@ void VecEnv::collect(const nn::GaussianPolicy& policy,
   for (auto& s : slots_) close_round(s, value_e, value_i);
 }
 
-void VecEnv::collect_serial(const nn::GaussianPolicy& policy,
-                            const nn::ValueNet& value_e,
-                            const nn::ValueNet& value_i,
-                            const std::vector<int>& budgets,
-                            std::size_t offset) {
-  // Per-step buffers hoisted out of both loops (act_into reuses their
-  // capacity; the step loop is allocation-free in steady state).
-  std::vector<double> action;
-  std::vector<double> act_scratch;
-  for (std::size_t i = 0; i < slots_.size(); ++i) {
-    EnvSlot& s = slots_[i];
-    const int budget = budgets[offset + i];
-    begin_round(s, budget);
-    for (int t = 0; t < budget; ++t) {
-      if (obs_norm_ != nullptr) obs_norm_->update(s.cur_obs);
-      policy.act_into(s.cur_obs, s.rng, action, act_scratch);
-      const double lp = policy.log_prob(s.cur_obs, action);
-      const double ve = value_e.value(s.cur_obs);
-      record_step(s, action.data(), action.size(), lp, ve,
-                  s.env->step(s.env->action_space().clamp(action)), value_e,
-                  value_i);
-    }
-    close_round(s, value_e, value_i);
-  }
-}
-
 namespace {
 bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
   return a.size() == b.size() &&
@@ -214,40 +186,46 @@ bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
 }
 }  // namespace
 
+void EnvSlot::save_episode(BinaryWriter& w) const {
+  w.write_bool(need_reset);
+  w.write_vec(cur_obs);
+  w.write_f64(ep_return);
+  w.write_f64(ep_surrogate);
+  w.write_i64(ep_len);
+  replay.save_state(w);
+}
+
+void EnvSlot::load_episode(BinaryReader& r) {
+  need_reset = r.read_bool();
+  cur_obs = r.read_vec();
+  ep_return = r.read_f64();
+  ep_surrogate = r.read_f64();
+  ep_len = static_cast<int>(r.read_i64());
+  replay.load_state(r);
+  if (!need_reset && replay.valid()) {
+    // Reconstruct the env mid-episode by replaying its history into the
+    // fresh clone; the replayed observation must match the saved one
+    // exactly or the prototype does not match the checkpoint.
+    IMAP_CHECK_MSG(same_bits(replay.rebuild(*env), cur_obs),
+                   "episode replay diverged from checkpoint — environment "
+                   "prototype does not match");
+  }
+}
+
 void VecEnv::save_state(BinaryWriter& w) const {
   w.write_u64(slots_.size());
   for (const auto& s : slots_) {
     s.rng.save_state(w);
-    w.write_bool(s.need_reset);
-    w.write_vec(s.cur_obs);
-    w.write_f64(s.ep_return);
-    w.write_f64(s.ep_surrogate);
-    w.write_i64(s.ep_len);
-    s.replay.save_state(w);
+    s.save_episode(w);
   }
 }
 
 void VecEnv::load_state(BinaryReader& r) {
   IMAP_CHECK_MSG(r.read_u64() == slots_.size(),
                  "checkpoint has wrong rollout-slot count");
-  std::vector<double> replayed;  // reused across slots
   for (auto& s : slots_) {
     s.rng.load_state(r);
-    s.need_reset = r.read_bool();
-    s.cur_obs = r.read_vec();
-    s.ep_return = r.read_f64();
-    s.ep_surrogate = r.read_f64();
-    s.ep_len = static_cast<int>(r.read_i64());
-    s.replay.load_state(r);
-    if (!s.need_reset && s.replay.valid()) {
-      // Reconstruct the slot env mid-episode by replaying its history into
-      // the fresh clone; the replayed observation must match the saved one
-      // exactly or the prototype does not match the checkpoint.
-      replayed = s.replay.rebuild(*s.env);
-      IMAP_CHECK_MSG(same_bits(replayed, s.cur_obs),
-                     "episode replay diverged from checkpoint — environment "
-                     "prototype does not match");
-    }
+    s.load_episode(r);
   }
 }
 

@@ -7,7 +7,6 @@
 #include "nn/batch.h"
 #include "nn/gaussian.h"
 #include "rl/env.h"
-#include "rl/normalizer.h"
 #include "rl/replay.h"
 #include "rl/rollout.h"
 #include "rl/split_step.h"
@@ -30,21 +29,29 @@ struct EnvSlot {
   int ep_successes = 0;
   RolloutBuffer buf;
   EpisodeReplay replay;  ///< in-flight episode history for snapshot/resume
+
+  /// Episode codec: need_reset, cur_obs, the episode scalars and the
+  /// in-flight history (not the stream). load_episode rebuilds a
+  /// mid-episode env by replaying its history into the current clone and
+  /// checks the replayed observation against the saved one bit for bit.
+  void save_episode(BinaryWriter& w) const;
+  void load_episode(BinaryReader& r);
 };
 
-/// Vectorized rollout engine: E environment slots stepped in lockstep so one
-/// collection tick performs ONE batched policy-mean forward, ONE batched
-/// critic forward and — when every slot is a SplitStepEnv over the same
-/// network-backed frozen victim — ONE batched victim forward, instead of E
-/// per-sample calls of each.
+/// Vectorized rollout engine, the only rollout collector: E environment
+/// slots stepped in lockstep so one collection tick performs ONE batched
+/// policy-mean forward, ONE batched critic forward and — when every slot is
+/// a SplitStepEnv over the same network-backed frozen victim — ONE batched
+/// victim forward. E = 1 is the serial collector (the trainer lends its own
+/// stream to the one slot).
 ///
 /// Determinism contract: slot i draws only from its own stream and
 /// auto-resets in place, and the batched kernels are bit-identical per row
-/// to their per-sample counterparts, so collect() fills exactly the buffers
-/// that E independent serial collections (collect_serial) would — for any E
-/// and any IMAP_THREADS. Budgets must be non-increasing across the slot
-/// range so the live slots always form a prefix (shorter budgets retire
-/// from the back).
+/// for any batch size, so collect() fills exactly the buffers that E
+/// independent one-slot engines on the same streams would — for any E and
+/// any IMAP_THREADS. Budgets must be non-increasing across the slot range so
+/// the live slots always form a prefix (shorter budgets retire from the
+/// back).
 ///
 /// One VecEnv is in flight per worker thread; the policy/critics stay
 /// read-only and all mutable scratch (workspaces, stacking batches) is owned
@@ -63,31 +70,14 @@ class VecEnv {
   EnvSlot& slot(std::size_t i) { return slots_[i]; }
   const EnvSlot& slot(std::size_t i) const { return slots_[i]; }
 
-  /// Optional running observation tracker: when set, collect() folds all
-  /// live observations of a tick with one update_batch call and
-  /// collect_serial() feeds the same observations one update() at a time
-  /// (telemetry only — neither path feeds normalized values back into the
-  /// rollout, so the buffers stay bit-identical with or without it).
-  void set_obs_normalizer(VecNormalizer* norm) { obs_norm_ = norm; }
-
   /// Lockstep vectorized collection. Slot i runs budgets[offset+i] steps
-  /// into its own buffer (bit-identical to collect_serial on the same
-  /// state). Episode state persists across calls.
+  /// into its own buffer. Episode state persists across calls.
   void collect(const nn::GaussianPolicy& policy, const nn::ValueNet& value_e,
                const nn::ValueNet& value_i, const std::vector<int>& budgets,
                std::size_t offset);
 
-  /// Reference per-sample collection: each slot in turn runs the legacy
-  /// serial loop (act / log_prob / value / step per timestep). The
-  /// bit-identity baseline for collect() and the benches' serial arm.
-  void collect_serial(const nn::GaussianPolicy& policy,
-                      const nn::ValueNet& value_e, const nn::ValueNet& value_i,
-                      const std::vector<int>& budgets, std::size_t offset);
-
-  /// Serialize every slot's persistent state (stream, episode scalars,
-  /// in-flight episode history). load_state rebuilds each slot's env by
-  /// replaying its episode into the current clone and checks the replayed
-  /// observation against the snapshotted one bit for bit.
+  /// Serialize every slot's stream and episode (EnvSlot::save_episode).
+  /// load_state replays each slot's in-flight episode into its clone.
   void save_state(BinaryWriter& w) const;
   void load_state(BinaryReader& r);
 
@@ -104,7 +94,6 @@ class VecEnv {
   /// All slots split their step around the SAME network-backed frozen
   /// policy, so their per-tick victim queries merge into one batch.
   bool victim_batchable_ = false;
-  VecNormalizer* obs_norm_ = nullptr;
 
   // Per-engine scratch (grows to the high-water mark once, then reused).
   nn::Mlp::Workspace ws_policy_, ws_value_, ws_victim_;

@@ -7,6 +7,7 @@
 #include "attack/random_attack.h"
 #include "attack/sa_rl.h"
 #include "attack/threat_model.h"
+#include "digest.h"
 #include "env/hopper.h"
 
 namespace imap::attack {
@@ -83,6 +84,26 @@ TEST(GradientAttack, PlugsIntoTheThreatModel) {
                                     make_mad_attack(victim_policy, 0.075, 2),
                                     0.075, 5, er);
   EXPECT_EQ(eval.episode_returns.size(), 5u);
+}
+
+TEST(GradientAttack, DirectionsMatchPinnedDigest) {
+  // MAD and FGSM directions over a two-hidden-layer victim, pinned to the
+  // values of the per-sample input-gradient implementation they replaced.
+  Rng rng(19);
+  nn::GaussianPolicy victim(11, 3, {16, 16}, rng);
+  for (auto& w : victim.net().params()) w *= 3.0;
+  const auto mad = make_mad_attack(victim, 0.075, 3);
+  const auto fgsm = make_fgsm_attack(victim, 0.075);
+  std::vector<double> mad_dirs, fgsm_dirs;
+  for (int i = 0; i < 64; ++i) {
+    const auto obs = rng.normal_vec(11, 0.0, 0.5);
+    const auto m = mad(obs);
+    const auto f = fgsm(obs);
+    mad_dirs.insert(mad_dirs.end(), m.begin(), m.end());
+    fgsm_dirs.insert(fgsm_dirs.end(), f.begin(), f.end());
+  }
+  EXPECT_EQ(imap::testing::digest(mad_dirs), 0x09aa4a499876c483ULL);
+  EXPECT_EQ(imap::testing::digest(fgsm_dirs), 0x67782c625f947483ULL);
 }
 
 TEST(GradientAttack, RejectsBadConfig) {

@@ -90,7 +90,7 @@ void run_affine_cell(const std::string& backend, std::size_t in,
   for (std::size_t i = 0; i < ref.size(); ++i)
     ASSERT_EQ(ref[i], got_wt[i]) << "cached wt, element " << i;
 
-  // Null bias is part of the kernel contract (Matrix::matvec uses it).
+  // Null bias (bias 0) is part of the kernel contract.
   std::vector<double> ref0(batch * out), got0(batch * out, 0.0);
   for (std::size_t n = 0; n < batch; ++n)
     kernel::affine(w.data(), nullptr, out, in, x.data() + n * in,
@@ -329,13 +329,6 @@ IMAP_KERNEL_SHAPE_LIST(IMAP_CELL_AVX512)
   IMAP_KNN_CELL(avx512, tag, dim_, rows_, nq_, k_)
 IMAP_KNN_SHAPE_LIST(IMAP_KNN_AVX512)
 
-#define IMAP_CELL_NEON(tag, in_, out_, batch_) \
-  IMAP_KERNEL_CELL(neon, tag, in_, out_, batch_)
-IMAP_KERNEL_SHAPE_LIST(IMAP_CELL_NEON)
-#define IMAP_KNN_NEON(tag, dim_, rows_, nq_, k_) \
-  IMAP_KNN_CELL(neon, tag, dim_, rows_, nq_, k_)
-IMAP_KNN_SHAPE_LIST(IMAP_KNN_NEON)
-
 // --- dispatch-level behaviour ----------------------------------------------
 
 TEST(KernelDispatch, ActiveBackendIsSupported) {
@@ -372,6 +365,24 @@ TEST(KernelDispatch, ScopedBackendUnknownNameDoesNotActivate) {
     EXPECT_EQ(&kernel::active_backend(), &before);
   }
   EXPECT_EQ(&kernel::active_backend(), &before);
+}
+
+TEST(KernelDispatch, UnknownChoiceWarnsAndFallsBackToAuto) {
+  // "neon" names a backend this project no longer builds: it takes the same
+  // warn-and-fallback path as any other unknown name.
+  const kernel::KernelBackend& automatic =
+      kernel::resolve_backend_choice("auto");
+  EXPECT_EQ(&kernel::resolve_backend_choice(nullptr), &automatic);
+  for (const char* choice : {"neon", "banana"}) {
+    EXPECT_EQ(kernel::find_backend(choice), nullptr);
+    ::testing::internal::CaptureStderr();
+    const kernel::KernelBackend& be = kernel::resolve_backend_choice(choice);
+    const std::string err = ::testing::internal::GetCapturedStderr();
+    EXPECT_EQ(&be, &automatic) << choice;
+    EXPECT_NE(err.find(std::string("IMAP_KERNEL=") + choice),
+              std::string::npos)
+        << err;
+  }
 }
 
 // The dispatcher must produce scalar-identical results whatever backend is

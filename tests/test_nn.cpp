@@ -7,41 +7,18 @@
 #include "nn/adam.h"
 #include "nn/checkpoint.h"
 #include "nn/gaussian.h"
-#include "nn/matrix.h"
 #include "nn/mlp.h"
+#include "rl/env.h"
+#include "rl/vec_env.h"
 
 namespace imap::nn {
 namespace {
 
-TEST(Matrix, MatvecAndTranspose) {
-  Matrix m(2, 3);
-  // [1 2 3; 4 5 6]
-  double v = 1.0;
-  for (std::size_t r = 0; r < 2; ++r)
-    for (std::size_t c = 0; c < 3; ++c) m(r, c) = v++;
-  const auto y = m.matvec({1.0, 0.0, -1.0});
-  EXPECT_DOUBLE_EQ(y[0], -2.0);
-  EXPECT_DOUBLE_EQ(y[1], -2.0);
-  const auto yt = m.matvec_transposed({1.0, 1.0});
-  EXPECT_DOUBLE_EQ(yt[0], 5.0);
-  EXPECT_DOUBLE_EQ(yt[1], 7.0);
-  EXPECT_DOUBLE_EQ(yt[2], 9.0);
-}
-
-TEST(Matrix, AddOuter) {
-  Matrix m(2, 2);
-  m.add_outer({1.0, 2.0}, {3.0, 4.0}, 0.5);
-  EXPECT_DOUBLE_EQ(m(0, 0), 1.5);
-  EXPECT_DOUBLE_EQ(m(1, 1), 4.0);
-}
-
-TEST(VectorOps, Basics) {
-  std::vector<double> y{1, 2};
-  axpy(y, 2.0, {3, 4});
-  EXPECT_DOUBLE_EQ(y[0], 7.0);
-  EXPECT_DOUBLE_EQ(dot({1, 2, 3}, {4, 5, 6}), 32.0);
-  EXPECT_DOUBLE_EQ(l2norm({3, 4}), 5.0);
-  EXPECT_DOUBLE_EQ(linf_norm({-7, 3}), 7.0);
+/// One-row batch holding `x`.
+Batch row_batch(const std::vector<double>& x) {
+  Batch b(1, x.size());
+  b.set_row(0, x);
+  return b;
 }
 
 // Finite-difference check of the MLP backward pass — the foundation every
@@ -52,10 +29,11 @@ TEST(Mlp, GradientsMatchFiniteDifferences) {
   const auto x = rng.normal_vec(4);
   const std::vector<double> w{0.7, -1.3, 0.4};  // loss = w · out
 
-  Mlp::Tape tape;
-  net.forward_tape(x, tape);
+  Mlp::Workspace ws;
+  net.forward_batch(row_batch(x), ws);
   net.zero_grad();
-  const auto gin = net.backward(tape, w);
+  const Batch& gin_rows = net.backward_batch(ws, row_batch(w));
+  const std::vector<double> gin(gin_rows.row(0), gin_rows.row(0) + x.size());
   const auto analytic = net.grads();
 
   auto loss = [&](const std::vector<double>& input) {
@@ -90,12 +68,13 @@ TEST(Mlp, InputGradientMatchesBackward) {
   Rng rng(5);
   Mlp net({3, 6, 2}, rng);
   const auto x = rng.normal_vec(3);
-  Mlp::Tape tape;
-  net.forward_tape(x, tape);
+  const Batch gout = row_batch({1.0, -2.0});
+  Mlp::Workspace ws;
+  net.forward_batch(row_batch(x), ws);
   net.zero_grad();
-  const auto g1 = net.backward(tape, {1.0, -2.0});
-  const auto g2 = net.input_gradient(tape, {1.0, -2.0});
-  for (std::size_t i = 0; i < g1.size(); ++i) EXPECT_NEAR(g1[i], g2[i], 1e-12);
+  const Batch g1 = net.backward_batch(ws, gout);
+  const Batch& g2 = net.input_gradient_batch(ws, gout);
+  for (std::size_t i = 0; i < x.size(); ++i) EXPECT_EQ(g1(0, i), g2(0, i));
 }
 
 TEST(Mlp, RejectsWrongInputDim) {
@@ -146,15 +125,25 @@ TEST(DiagGaussian, EntropyAndKl) {
 }
 
 TEST(DiagGaussian, LogProbGradientsMatchFiniteDifferences) {
-  const std::vector<double> a{0.3, -1.1}, mean{0.1, 0.4}, ls{-0.2, 0.5};
-  const auto gm = diag_gaussian::dlogp_dmean(a, mean, ls);
-  const auto gs = diag_gaussian::dlogp_dlogstd(a, mean, ls);
+  // backward_logp_batch's d log π / d mean lands on the output-layer bias
+  // (mean = W·h + b) and d log π / d log_std on the log-std gradients.
+  Rng rng(7);
+  GaussianPolicy pi(3, 2, {4}, rng);
+  const auto obs = rng.normal_vec(3);
+  const std::vector<double> a{0.3, -1.1};
+  const auto mean = pi.mean_action(obs);
+  const auto& ls = pi.log_std();
+  pi.zero_grad();
+  pi.mean_batch(row_batch(obs));
+  pi.backward_logp_batch(row_batch(a), {1.0});
+  const auto g = pi.flat_grads();
+  const std::size_t n_net = pi.net().params().size();
   const double h = 1e-6;
   for (std::size_t i = 0; i < 2; ++i) {
     auto mp = mean, mm = mean;
     mp[i] += h;
     mm[i] -= h;
-    EXPECT_NEAR(gm[i],
+    EXPECT_NEAR(g[n_net - 2 + i],
                 (diag_gaussian::log_prob(a, mp, ls) -
                  diag_gaussian::log_prob(a, mm, ls)) /
                     (2 * h),
@@ -162,7 +151,7 @@ TEST(DiagGaussian, LogProbGradientsMatchFiniteDifferences) {
     auto lp = ls, lm = ls;
     lp[i] += h;
     lm[i] -= h;
-    EXPECT_NEAR(gs[i],
+    EXPECT_NEAR(g[n_net + i],
                 (diag_gaussian::log_prob(a, mean, lp) -
                  diag_gaussian::log_prob(a, mean, lm)) /
                     (2 * h),
@@ -170,15 +159,44 @@ TEST(DiagGaussian, LogProbGradientsMatchFiniteDifferences) {
   }
 }
 
+/// A one-dimensional MDP that always observes the same state and never
+/// ends, so every collected action is a draw around one policy mean.
+class ConstObsEnv : public rl::EnvBase<ConstObsEnv> {
+ public:
+  explicit ConstObsEnv(std::vector<double> obs) : obs_(std::move(obs)) {}
+  std::size_t obs_dim() const override { return obs_.size(); }
+  std::size_t act_dim() const override { return 2; }
+  int max_steps() const override { return 1 << 30; }
+  std::string name() const override { return "ConstObs"; }
+  const rl::BoxSpace& action_space() const override { return space_; }
+  std::vector<double> reset(Rng&) override { return obs_; }
+  rl::StepResult step(const std::vector<double>&) override {
+    rl::StepResult sr;
+    sr.obs = obs_;
+    return sr;
+  }
+
+ private:
+  std::vector<double> obs_;
+  rl::BoxSpace space_{2, 10.0};
+};
+
 TEST(GaussianPolicy, SampleStatisticsMatchParameters) {
+  // The rollout engine's sampler draws a ~ N(μ(s), exp(log_std)²).
   Rng rng(9);
   GaussianPolicy pi(3, 2, {16}, rng, /*init_log_std=*/-0.5);
+  ValueNet value(3, {16}, rng);
   const auto obs = rng.normal_vec(3);
   const auto mu = pi.mean_action(obs);
-  std::vector<double> acc(2, 0.0), acc2(2, 0.0);
   const int n = 20000;
+  rl::VecEnv vec;
+  vec.configure(ConstObsEnv(obs), {rng.split(1)});
+  vec.collect(pi, value, value, {n}, 0);
+  const auto& buf = vec.slot(0).buf;
+  ASSERT_EQ(buf.size(), static_cast<std::size_t>(n));
+  std::vector<double> acc(2, 0.0), acc2(2, 0.0);
   for (int i = 0; i < n; ++i) {
-    const auto a = pi.act(obs, rng);
+    const auto& a = buf.act[static_cast<std::size_t>(i)];
     for (int d = 0; d < 2; ++d) {
       acc[d] += a[d];
       acc2[d] += (a[d] - mu[d]) * (a[d] - mu[d]);
@@ -196,22 +214,24 @@ TEST(GaussianPolicy, BackwardLogpMatchesFiniteDifferences) {
   const auto obs = rng.normal_vec(3);
   const auto act = rng.normal_vec(2);
 
-  Mlp::Tape tape;
-  pi.mean_tape(obs, tape);
   pi.zero_grad();
-  pi.backward_logp(tape, act, 1.0);
+  pi.mean_batch(row_batch(obs));
+  pi.backward_logp_batch(row_batch(act), {1.0});
   const auto analytic = pi.flat_grads();
 
+  const auto log_prob = [&] {
+    return diag_gaussian::log_prob(act, pi.mean_action(obs), pi.log_std());
+  };
   auto params = pi.flat_params();
   const double h = 1e-6;
   for (std::size_t i = 0; i < params.size(); i += 5) {
     auto p = params;
     p[i] += h;
     pi.set_flat_params(p);
-    const double lp = pi.log_prob(obs, act);
+    const double lp = log_prob();
     p[i] = params[i] - h;
     pi.set_flat_params(p);
-    const double lm = pi.log_prob(obs, act);
+    const double lm = log_prob();
     pi.set_flat_params(params);
     EXPECT_NEAR(analytic[i], (lp - lm) / (2 * h), 1e-4) << "param " << i;
   }
@@ -228,10 +248,10 @@ TEST(ValueNet, BackwardMatchesFiniteDifferences) {
   Rng rng(17);
   ValueNet v(4, {8}, rng);
   const auto obs = rng.normal_vec(4);
-  Mlp::Tape tape;
-  v.value_tape(obs, tape);
+  std::vector<double> vals;
   v.zero_grad();
-  v.backward(tape, 1.0);
+  v.value_batch(row_batch(obs), vals);
+  v.backward_batch({1.0});
   const auto analytic = v.grads();
   const double h = 1e-6;
   for (std::size_t i = 0; i < v.params().size(); i += 3) {

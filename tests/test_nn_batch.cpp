@@ -1,7 +1,8 @@
 // Tests for the batched kernel layer (nn/batch.h, Mlp::forward_batch /
 // backward_batch and the batched policy/critic APIs):
-//  * bitwise parity — every batched result must equal the per-sample path
-//    exactly, not approximately (the determinism contract in DESIGN.md);
+//  * bitwise parity — every B-row batched result must equal B one-row
+//    batches run in ascending row order (and the per-row forward) exactly,
+//    not approximately (the determinism contract in DESIGN.md);
 //  * finite-difference correctness of the batched backward;
 //  * the zero-allocation guarantee of the Workspace arena in steady state;
 //  * end-to-end: the batched PPO update reproduces the recorded trace of the
@@ -14,6 +15,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <optional>
 #include <vector>
 
 #include "digest.h"
@@ -82,6 +84,14 @@ std::vector<double> row_vec(const Batch& b, std::size_t r) {
   return std::vector<double>(b.row(r), b.row(r) + b.dim());
 }
 
+/// Row r of `b` as a one-row batch — the reference the B-row batched
+/// passes are held bit-identical to.
+Batch one_row(const Batch& b, std::size_t r) {
+  Batch out(1, b.dim());
+  out.set_row(0, row_vec(b, r));
+  return out;
+}
+
 class MlpBatchParity : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(MlpBatchParity, ForwardMatchesPerSampleBitwise) {
@@ -118,11 +128,11 @@ TEST_P(MlpBatchParity, BackwardMatchesPerSampleBitwise) {
   const Batch& gin_b = batched.backward_batch(ws, gout);
 
   serial.zero_grad();
+  Mlp::Workspace ws1;
   std::vector<std::vector<double>> gin_s;
   for (std::size_t r = 0; r < bs; ++r) {
-    Mlp::Tape tape;
-    serial.forward_tape(row_vec(x, r), tape);
-    gin_s.push_back(serial.backward(tape, row_vec(gout, r)));
+    serial.forward_batch(one_row(x, r), ws1);
+    gin_s.push_back(row_vec(serial.backward_batch(ws1, one_row(gout, r)), 0));
   }
 
   // Parameter gradients accumulate in the same per-entry order → bitwise.
@@ -148,11 +158,11 @@ TEST_P(MlpBatchParity, InputGradientMatchesPerSampleBitwise) {
   const Batch& gin_b = net.input_gradient_batch(ws, gout);
   EXPECT_EQ(net.grads(), grads_before);  // params untouched
 
+  Mlp::Workspace ws1;
   for (std::size_t r = 0; r < bs; ++r) {
-    Mlp::Tape tape;
-    net.forward_tape(row_vec(x, r), tape);
-    const auto gin = net.input_gradient(tape, row_vec(gout, r));
-    for (std::size_t c = 0; c < 4; ++c) EXPECT_EQ(gin_b(r, c), gin[c]);
+    net.forward_batch(one_row(x, r), ws1);
+    const Batch& gin = net.input_gradient_batch(ws1, one_row(gout, r));
+    for (std::size_t c = 0; c < 4; ++c) EXPECT_EQ(gin_b(r, c), gin(0, c));
   }
 }
 
@@ -211,7 +221,9 @@ TEST(GaussianPolicyBatch, LogProbBatchMatchesPerSample) {
   pol.log_prob_batch(obs, act, lp);
   ASSERT_EQ(lp.size(), bs);
   for (std::size_t r = 0; r < bs; ++r)
-    EXPECT_EQ(lp[r], pol.log_prob(row_vec(obs, r), row_vec(act, r)));
+    EXPECT_EQ(lp[r], diag_gaussian::log_prob(
+                         row_vec(act, r), pol.mean_action(row_vec(obs, r)),
+                         pol.log_std()));
 }
 
 TEST(GaussianPolicyBatch, BackwardLogpBatchMatchesPerSampleBitwise) {
@@ -234,9 +246,8 @@ TEST(GaussianPolicyBatch, BackwardLogpBatchMatchesPerSampleBitwise) {
 
   serial.zero_grad();
   for (std::size_t r = 0; r < bs; ++r) {
-    Mlp::Tape tape;
-    serial.mean_tape(row_vec(obs, r), tape);
-    serial.backward_logp(tape, row_vec(act, r), coeff[r]);
+    serial.mean_batch(one_row(obs, r));
+    serial.backward_logp_batch(one_row(act, r), {coeff[r]});
   }
 
   EXPECT_EQ(batched.flat_grads(), serial.flat_grads());
@@ -260,13 +271,33 @@ TEST(ValueNetBatch, ValueAndBackwardMatchPerSampleBitwise) {
   batched.backward_batch(coeff);
 
   serial.zero_grad();
+  std::vector<double> v1;
   for (std::size_t r = 0; r < bs; ++r) {
     EXPECT_EQ(v[r], serial.value(row_vec(obs, r)));
-    Mlp::Tape tape;
-    serial.value_tape(row_vec(obs, r), tape);
-    serial.backward(tape, coeff[r]);
+    serial.value_batch(one_row(obs, r), v1);
+    EXPECT_EQ(v[r], v1[0]);
+    serial.backward_batch({coeff[r]});
   }
   EXPECT_EQ(batched.grads(), serial.grads());
+}
+
+// A workspace's cached weight transposes must never be served to another
+// network, not even to one built at the same address after the first died.
+TEST(MlpBatch, WorkspaceNeverServesADeadNetworksTransposes) {
+  Rng rng_a(47), rng_b(53);
+  const Batch x = random_batch(3, 5, rng_a);
+  Mlp::Workspace ws;
+  std::optional<Mlp> net;
+  net.emplace(std::vector<std::size_t>{5, 16, 3}, rng_a);
+  net->forward_batch(x, ws);
+  net.reset();
+  net.emplace(std::vector<std::size_t>{5, 16, 3}, rng_b);
+  const Batch& y = net->forward_batch(x, ws);
+  for (std::size_t r = 0; r < x.rows(); ++r) {
+    const auto yr = net->forward(row_vec(x, r));
+    for (std::size_t c = 0; c < 3; ++c)
+      EXPECT_EQ(y(r, c), yr[c]) << "row " << r << " col " << c;
+  }
 }
 
 // The Workspace arena must stop allocating once warm: after one forward/

@@ -5,6 +5,7 @@
 #include "common/check.h"
 #include "common/stats.h"
 #include "core/regularizer.h"
+#include "digest.h"
 
 namespace imap::core {
 namespace {
@@ -28,6 +29,15 @@ rl::RolloutBuffer clustered_rollout(std::size_t dim, std::size_t n_cluster,
 nn::GaussianPolicy dummy_policy(std::size_t obs_dim, std::size_t act_dim) {
   Rng rng(99);
   return nn::GaussianPolicy(obs_dim, act_dim, {8}, rng);
+}
+
+/// a ~ π(·|s): the policy mean plus log-std-scaled Gaussian noise.
+std::vector<double> sample_action(const nn::GaussianPolicy& pi,
+                                  const std::vector<double>& s, Rng& rng) {
+  auto a = pi.mean_action(s);
+  for (std::size_t i = 0; i < a.size(); ++i)
+    a[i] += std::exp(pi.log_std()[i]) * rng.normal();
+  return a;
 }
 
 TEST(Regularizer, NamesRoundTrip) {
@@ -159,7 +169,7 @@ TEST(MimicPolicy, BehaviourCloningConvergesToTargetPolicy) {
   Rng srng(5);
   for (int i = 0; i < 512; ++i) {
     const auto s = srng.normal_vec(3);
-    buf.add(s, target.act(s, srng), 0.0, 0.0, 0.0);
+    buf.add(s, sample_action(target, s, srng), 0.0, 0.0, 0.0);
   }
 
   auto mean_kl = [&] {
@@ -177,6 +187,20 @@ TEST(MimicPolicy, BehaviourCloningConvergesToTargetPolicy) {
   EXPECT_LT(after, 0.5 * before);
 }
 
+TEST(MimicPolicy, UpdateMatchesPinnedDigest) {
+  // One behaviour-cloning update over a ragged minibatch split (300 = 4·64 +
+  // 44), pinned to the values of the per-sample backward it replaced.
+  Rng rng(23);
+  MimicPolicy mimic(5, 2, {16, 16}, rng.split(1), /*lr=*/0.01);
+  rl::RolloutBuffer buf;
+  Rng srng(29);
+  for (int i = 0; i < 300; ++i)
+    buf.add(srng.normal_vec(5), srng.normal_vec(2, 0.3, 0.5), 0.0, 0.0, 0.0);
+  mimic.update(buf, /*epochs=*/2, /*minibatch=*/64);
+  EXPECT_EQ(imap::testing::digest(mimic.policy().flat_params()),
+            0x8c209c9ede06a050ULL);
+}
+
 TEST(DivergenceRegularizer, PositiveBoundedAndTracksPolicyDistance) {
   Rng rng(11);
   RegularizerOptions opts;
@@ -192,7 +216,7 @@ TEST(DivergenceRegularizer, PositiveBoundedAndTracksPolicyDistance) {
     Rng srng(5);
     for (int i = 0; i < 256; ++i) {
       const auto s = srng.normal_vec(3);
-      buf.add(s, policy.act(s, srng), 0.0, 0.0, 0.0);
+      buf.add(s, sample_action(policy, s, srng), 0.0, 0.0, 0.0);
     }
     return buf;
   };

@@ -14,12 +14,12 @@
 #include "common/rng.h"
 #include "common/serialize.h"
 #include "core/bias_reduction.h"
+#include "core/experiment.h"
 #include "core/knn.h"
 #include "nn/adam.h"
 #include "nn/checkpoint.h"
 #include "nn/gaussian.h"
 #include "nn/mlp.h"
-#include "rl/normalizer.h"
 #include "temp_dir.h"
 
 namespace imap {
@@ -149,6 +149,111 @@ TEST_F(SerializeTest, ArchiveRejectsOldFormatVersion) {
   EXPECT_THROW(nn::load_policy(path("old.pol")), CheckError);
 }
 
+// Length-prefixed reads bound the count by the unread bytes, by division:
+// a count whose byte length overflows is a typed error, never an
+// std::length_error or bad_alloc from an allocation sized by the count.
+TEST_F(SerializeTest, ReadVecRejectsAnOverflowingCount) {
+  BinaryWriter w;
+  w.write_u64(std::uint64_t{1} << 61);  // × 8 bytes wraps to 0
+  BinaryReader r(w.buffer());
+  EXPECT_THROW(r.read_vec(), CheckError);
+}
+
+TEST_F(SerializeTest, ReadStringRejectsAnOverflowingLength) {
+  BinaryWriter w;
+  w.write_u64(UINT64_MAX);
+  w.write_u64(0);
+  BinaryReader r(w.buffer());
+  EXPECT_THROW(r.read_string(), CheckError);
+}
+
+TEST_F(SerializeTest, PolicyCheckpointRejectsAnOversizedLayerCount) {
+  BinaryWriter w;
+  w.write_u64(std::uint64_t{1} << 61);
+  w.write_u64(3);
+  BinaryReader r(w.buffer());
+  EXPECT_THROW(nn::read_policy(r), CheckError);
+}
+
+/// A result-cache payload whose curve count claims 2^61 points.
+BinaryWriter result_with_curve_count(std::uint64_t count) {
+  BinaryWriter w;
+  for (int i = 0; i < 5; ++i) w.write_u64(0);  // eval stats
+  w.write_vec({1.0, 2.0});                     // episode returns
+  w.write_u64(count);
+  w.write_i64(1);
+  w.write_f64(0.5);
+  w.write_f64(0.25);
+  return w;
+}
+
+TEST_F(SerializeTest, ResultCacheRejectsAnOversizedCurveCount) {
+  BenchConfig cfg;
+  cfg.zoo_dir = dir_;
+  cfg.scale = 0.01;
+  core::ExperimentRunner runner(cfg);
+  core::AttackPlan plan;
+  plan.env_name = "FetchReach";
+  plan.attack = core::AttackKind::None;
+  plan.eval_episodes = 3;
+  const auto norm = runner.normalize_plan(plan);
+  const auto b = runner.budgets(norm);
+  std::filesystem::create_directories(dir_ + "/results");
+  ASSERT_TRUE(result_with_curve_count(std::uint64_t{1} << 61)
+                  .save(dir_ + "/results/" +
+                        runner.cache_key(norm, b.steps, b.episodes) +
+                        ".res"));
+  EXPECT_THROW(runner.run(plan), CheckError);
+}
+
+TEST_F(SerializeTest, ResultCodecRejectsAnOversizedCurveCount) {
+  // The DAG fabric's reply frames carry the same codec.
+  const auto w = result_with_curve_count(std::uint64_t{1} << 61);
+  BinaryReader r(w.buffer());
+  core::AttackOutcome out;
+  EXPECT_THROW(core::read_result(r, out), CheckError);
+}
+
+TEST_F(SerializeTest, ResultCodecKeepsTheCacheLayout) {
+  core::AttackOutcome out;
+  out.victim_eval.returns.mean = 1.5;
+  out.victim_eval.returns.stddev = 0.5;
+  out.victim_eval.returns.episodes = 2;
+  out.victim_eval.success_rate = 0.25;
+  out.victim_eval.mean_length = 7.0;
+  out.victim_eval.episode_returns = {1.0, 2.0};
+  out.curve = {{100, 0.5, 1.0}, {200, 0.75, 0.5}};
+  BinaryWriter w;
+  core::write_result(w, out);
+  // f64 ×2, u64, f64 ×2, vec(2), u64 count, 2 × (i64, f64, f64).
+  EXPECT_EQ(w.buffer().size(), 5 * 8 + 8 + 2 * 8 + 8 + 2 * 24u);
+  BinaryReader r(w.buffer());
+  core::AttackOutcome back;
+  core::read_result(r, back);
+  EXPECT_TRUE(r.exhausted());
+  EXPECT_EQ(back.victim_eval.episode_returns, out.victim_eval.episode_returns);
+  EXPECT_EQ(back.victim_eval.returns.episodes, 2u);
+  ASSERT_EQ(back.curve.size(), 2u);
+  EXPECT_EQ(back.curve[1].steps, 200);
+  EXPECT_EQ(back.curve[1].tau, 0.5);
+}
+
+TEST_F(SerializeTest, ArchiveRejectsAnOverflowingSectionLength) {
+  // A well-formed header and CRC around a section-name length of 2^64 − 1.
+  std::vector<std::uint8_t> bytes{'I', 'M', 'A', 'P'};
+  const auto put_u64 = [&](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i)
+      bytes.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+  };
+  put_u64(kFormatVersion);
+  put_u64(1);           // one section
+  put_u64(UINT64_MAX);  // its name length
+  const std::uint32_t crc = crc32(bytes.data(), bytes.size());
+  for (int i = 0; i < 4; ++i)
+    bytes.push_back(static_cast<std::uint8_t>(crc >> (8 * i)));
+  EXPECT_THROW(ArchiveReader::parse(bytes, "crafted"), CheckError);
+}
+
 TEST_F(SerializeTest, AtomicSaveLeavesNoTempFile) {
   ArchiveWriter w;
   w.section("s").write_u64(9);
@@ -256,38 +361,6 @@ TEST_F(SerializeTest, GaussianPolicyRoundTrip) {
 
   EXPECT_EQ(q.flat_params(), p.flat_params());
   EXPECT_EQ(q.log_std(), p.log_std());
-}
-
-TEST_F(SerializeTest, VecNormalizerRoundTrip) {
-  Rng rng(5);
-  rl::VecNormalizer norm(3);
-  for (int i = 0; i < 50; ++i) norm.update(rng.normal_vec(3, 1.0, 2.0));
-
-  BinaryWriter w;
-  norm.save_state(w);
-  rl::VecNormalizer restored(3);
-  BinaryReader r(w.buffer());
-  restored.load_state(r);
-
-  const auto x = rng.normal_vec(3, 0.0, 1.0);
-  EXPECT_EQ(restored.normalize(x), norm.normalize(x));
-  EXPECT_EQ(restored.count(), norm.count());
-
-  rl::VecNormalizer wrong(4);
-  BinaryReader r2(w.buffer());
-  EXPECT_THROW(wrong.load_state(r2), CheckError);
-}
-
-TEST_F(SerializeTest, ScalarScalerRoundTrip) {
-  rl::ScalarScaler s;
-  for (int i = 0; i < 20; ++i) s.update(0.5 * i);
-  BinaryWriter w;
-  s.save_state(w);
-  rl::ScalarScaler restored;
-  BinaryReader r(w.buffer());
-  restored.load_state(r);
-  EXPECT_EQ(restored.stddev(), s.stddev());
-  EXPECT_EQ(restored.scale(3.0), s.scale(3.0));
 }
 
 TEST_F(SerializeTest, KnnBufferRoundTripContinuesReservoir) {

@@ -1,8 +1,9 @@
 // The determinism contract of the vectorized rollout engine: the lockstep
 // batched collection (one policy/value/victim forward per tick) fills
-// buffers bit-identical to E independent serial collections, for any E, any
-// thread count and any (workers × slots) factorization of the total —
-// including randomized scenarios and the opponent game.
+// buffers bit-identical to E independent one-slot engines on the same
+// streams (slot independence), for any E, any thread count and any
+// (workers × slots) factorization of the total — including randomized
+// scenarios and the opponent game.
 
 #include <gtest/gtest.h>
 
@@ -15,10 +16,10 @@
 
 #include "attack/threat_model.h"
 #include "common/thread_pool.h"
+#include "digest.h"
 #include "env/multiagent.h"
 #include "env/registry.h"
 #include "nn/gaussian.h"
-#include "rl/normalizer.h"
 #include "rl/ppo.h"
 #include "rl/vec_env.h"
 #include "scenario/scenario_env.h"
@@ -55,7 +56,26 @@ void expect_buffers_identical(const rl::RolloutBuffer& a,
   EXPECT_EQ(a.episode_lengths, b.episode_lengths);
 }
 
-/// Run collect() and collect_serial() on identically-seeded twin engines over
+/// E one-slot engines, one per stream of `streams` — the slot-independence
+/// reference for an E-slot engine on the same streams.
+std::vector<rl::VecEnv> one_slot_engines(const rl::Env& proto,
+                                         const std::vector<Rng>& streams) {
+  std::vector<rl::VecEnv> out(streams.size());
+  for (std::size_t i = 0; i < streams.size(); ++i)
+    out[i].configure(proto, {streams[i]});
+  return out;
+}
+
+/// Collect on each one-slot engine with its slot's budget.
+void collect_each(std::vector<rl::VecEnv>& engines,
+                  const nn::GaussianPolicy& policy,
+                  const nn::ValueNet& value_e, const nn::ValueNet& value_i,
+                  const std::vector<int>& budgets) {
+  for (std::size_t i = 0; i < engines.size(); ++i)
+    engines[i].collect(policy, value_e, value_i, {budgets[i]}, 0);
+}
+
+/// Run an E-slot collect() and E one-slot collects on the same streams over
 /// `proto` and require every slot's buffer to match bitwise.
 void expect_vectorized_matches_serial(const rl::Env& proto, std::size_t e,
                                       int steps_per_slot) {
@@ -65,21 +85,24 @@ void expect_vectorized_matches_serial(const rl::Env& proto, std::size_t e,
   nn::ValueNet value_e(proto.obs_dim(), {16, 16}, net_rng);
   nn::ValueNet value_i(proto.obs_dim(), {16, 16}, net_rng);
 
-  rl::VecEnv vec, ref;
+  rl::VecEnv vec;
   vec.configure(proto, make_streams(e, 23));
-  ref.configure(proto, make_streams(e, 23));
+  auto ref = one_slot_engines(proto, make_streams(e, 23));
 
   const std::vector<int> budgets(e, steps_per_slot);
   // Two rounds: the second starts from persisted mid-episode state, so the
   // cross-call episode carry is covered too.
   for (int round = 0; round < 2; ++round) {
     vec.collect(policy, value_e, value_i, budgets, 0);
-    ref.collect_serial(policy, value_e, value_i, budgets, 0);
+    collect_each(ref, policy, value_e, value_i, budgets);
     for (std::size_t i = 0; i < e; ++i) {
       SCOPED_TRACE("round " + std::to_string(round) + " slot " +
                    std::to_string(i));
-      expect_buffers_identical(vec.slot(i).buf, ref.slot(i).buf);
-      EXPECT_EQ(vec.slot(i).ep_successes, ref.slot(i).ep_successes);
+      expect_buffers_identical(vec.slot(i).buf, ref[i].slot(0).buf);
+      EXPECT_EQ(vec.slot(i).ep_successes, ref[i].slot(0).ep_successes);
+      EXPECT_EQ(vec.slot(i).rng.seed(), ref[i].slot(0).rng.seed());
+      Rng a = vec.slot(i).rng, b = ref[i].slot(0).rng;
+      EXPECT_EQ(a.next_u64(), b.next_u64()) << "stream position";
     }
   }
 }
@@ -103,17 +126,17 @@ TEST(VecEnv, RaggedBudgetsKeepLiveSlotsAPrefix) {
   nn::ValueNet value_e(env->obs_dim(), {16, 16}, net_rng);
   nn::ValueNet value_i(env->obs_dim(), {16, 16}, net_rng);
 
-  rl::VecEnv vec, ref;
+  rl::VecEnv vec;
   vec.configure(*env, make_streams(4, 31));
-  ref.configure(*env, make_streams(4, 31));
+  auto ref = one_slot_engines(*env, make_streams(4, 31));
 
   // Non-increasing, including a zero-budget slot (must stay untouched).
   const std::vector<int> budgets{70, 70, 33, 0};
   vec.collect(policy, value_e, value_i, budgets, 0);
-  ref.collect_serial(policy, value_e, value_i, budgets, 0);
+  collect_each(ref, policy, value_e, value_i, budgets);
   for (std::size_t i = 0; i < 4; ++i) {
     SCOPED_TRACE("slot " + std::to_string(i));
-    expect_buffers_identical(vec.slot(i).buf, ref.slot(i).buf);
+    expect_buffers_identical(vec.slot(i).buf, ref[i].slot(0).buf);
   }
   EXPECT_EQ(vec.slot(3).buf.size(), 0u);
 }
@@ -203,6 +226,32 @@ void expect_identical(const std::vector<rl::IterStats>& a,
   }
 }
 
+TEST(VecEnv, OneSlotTrainerStreamPositionIsPinned) {
+  // K·E = 1 collects on the trainer's own stream. Three collects (episode
+  // boundaries mid-rollout and a carried episode) must leave the stream,
+  // and fill the rollout, exactly as the recorded reference did.
+  rl::PpoOptions opts;
+  opts.steps_per_iter = 300;
+  rl::PpoTrainer trainer(*env::make_env("Hopper"), opts, Rng(7));
+  rl::RolloutBuffer buf;
+  std::vector<double> trace;
+  for (int i = 0; i < 3; ++i) {
+    trainer.collect(buf);
+    for (std::size_t t = 0; t < buf.size(); ++t) {
+      trace.insert(trace.end(), buf.obs[t].begin(), buf.obs[t].end());
+      trace.insert(trace.end(), buf.act[t].begin(), buf.act[t].end());
+    }
+    trace.insert(trace.end(), buf.logp.begin(), buf.logp.end());
+    trace.insert(trace.end(), buf.val_e.begin(), buf.val_e.end());
+    trace.insert(trace.end(), buf.last_val_i.begin(), buf.last_val_i.end());
+    trace.insert(trace.end(), buf.episode_returns.begin(),
+                 buf.episode_returns.end());
+  }
+  Rng probe = trainer.rng();
+  EXPECT_EQ(probe.next_u64(), 0xfb68039ab1f9422cULL);
+  EXPECT_EQ(imap::testing::digest(trace), 0x1b8e9ef02e035974ULL);
+}
+
 TEST(VecEnv, TrainerTraceIdenticalFor1And4Threads) {
   rl::PpoOptions opts;
   opts.steps_per_iter = 512;
@@ -286,79 +335,6 @@ TEST(VecEnv, TrainerTraceInvariantAcrossWorkerSlotFactorizations) {
     expect_identical(s42, s24);
     EXPECT_EQ(p42, p24);
   }
-}
-
-TEST(VecNormalizer, SingleRowBatchUpdateIsBitwiseEqual) {
-  Rng rng(61);
-  rl::VecNormalizer step(5), batch(5);
-  nn::Batch row;
-  row.resize(1, 5);
-  for (int t = 0; t < 50; ++t) {
-    const auto x = rng.normal_vec(5, 0.5, 2.0);
-    row.set_row(0, x);
-    step.update(x);
-    batch.update_batch(row);
-  }
-  EXPECT_EQ(step.count(), batch.count());
-  EXPECT_EQ(step.mean(), batch.mean());
-  EXPECT_EQ(step.variance(), batch.variance());
-}
-
-TEST(VecNormalizer, BatchUpdateMatchesPerStepToMergeTolerance) {
-  // Chan/Welford parallel merge reassociates the per-step sums; the moments
-  // must agree with the streaming reference to tight relative tolerance.
-  Rng rng(67);
-  rl::VecNormalizer step(7), batch(7);
-  nn::Batch rows;
-  for (int tick = 0; tick < 40; ++tick) {
-    const std::size_t e = 1 + static_cast<std::size_t>(tick % 16);
-    rows.resize(e, 7);
-    for (std::size_t r = 0; r < e; ++r) {
-      const auto x = rng.normal_vec(7, -1.0, 3.0);
-      rows.set_row(r, x);
-      step.update(x);
-    }
-    batch.update_batch(rows);
-  }
-  ASSERT_EQ(step.count(), batch.count());
-  const auto sv = step.variance(), bv = batch.variance();
-  for (std::size_t i = 0; i < 7; ++i) {
-    EXPECT_NEAR(step.mean()[i], batch.mean()[i],
-                1e-12 * (1.0 + std::abs(step.mean()[i])));
-    EXPECT_NEAR(sv[i], bv[i], 1e-10 * (1.0 + sv[i]));
-  }
-}
-
-TEST(VecEnv, ObsNormalizerSeesTheSameStreamOnBothPaths) {
-  const auto env = env::make_env("Hopper");
-  Rng net_rng(71);
-  nn::GaussianPolicy policy(env->obs_dim(), env->act_dim(), {16, 16}, net_rng);
-  nn::ValueNet value_e(env->obs_dim(), {16, 16}, net_rng);
-  nn::ValueNet value_i(env->obs_dim(), {16, 16}, net_rng);
-
-  rl::VecEnv vec, ref;
-  vec.configure(*env, make_streams(4, 73));
-  ref.configure(*env, make_streams(4, 73));
-  rl::VecNormalizer vec_norm(env->obs_dim()), ref_norm(env->obs_dim());
-  vec.set_obs_normalizer(&vec_norm);
-  ref.set_obs_normalizer(&ref_norm);
-
-  const std::vector<int> budgets(4, 64);
-  vec.collect(policy, value_e, value_i, budgets, 0);
-  ref.collect_serial(policy, value_e, value_i, budgets, 0);
-
-  // Both paths fold the same observation multiset (tick-major vs slot-major
-  // order), so the merged moments agree to merge tolerance — and the buffers
-  // stay bit-identical (the tracker is telemetry only).
-  ASSERT_EQ(vec_norm.count(), ref_norm.count());
-  const auto vv = vec_norm.variance(), rv = ref_norm.variance();
-  for (std::size_t i = 0; i < vec_norm.dim(); ++i) {
-    EXPECT_NEAR(vec_norm.mean()[i], ref_norm.mean()[i],
-                1e-12 * (1.0 + std::abs(ref_norm.mean()[i])));
-    EXPECT_NEAR(vv[i], rv[i], 1e-10 * (1.0 + rv[i]));
-  }
-  for (std::size_t i = 0; i < 4; ++i)
-    expect_buffers_identical(vec.slot(i).buf, ref.slot(i).buf);
 }
 
 }  // namespace

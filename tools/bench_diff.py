@@ -1,16 +1,26 @@
 #!/usr/bin/env python3
-"""bench_diff.py — throughput regression gate for tracked BENCH_*.json files.
+"""bench_diff.py — ratio regression gate for tracked BENCH_*.json files.
 
 Usage:
     bench_diff.py [--tolerance FRAC] REFERENCE CANDIDATE
 
-Compares every benchmark entry present in both files. For each metric whose
-name ends in ``_steps_per_s`` the candidate must report a number reaching
-at least ``(1 - tolerance)`` of the reference value (default tolerance: 0.10,
-i.e. a >10% steps/s regression fails); a missing or non-numeric candidate
-value fails too. Entries whose reference carries a ``traces_identical`` flag
-must report ``true`` in the candidate — a faster-but-wrong rollout, or one
-that no longer says, is a failure, not a win.
+Compares every benchmark entry present in both files. The gated metric is
+``speedup``: a ratio of two timings taken inside one probe run (for
+BENCH_rollout.json, the time of 16 one-slot collectors over that of one
+16-slot lockstep engine on the same streams), so the machine's phase — CPU frequency, neighbours on
+a shared host — cancels out of it. The candidate must reach at least
+``(1 - tolerance)`` of the reference ratio; a missing or non-numeric
+candidate ratio fails too. Absolute ``*_steps_per_s`` figures are printed for
+the record but never gated: on a shared machine they swing with its phase
+far more than with the code, and the end-to-end benchmark (perfbench) times
+those by alternating parent and candidate runs instead.
+
+Entries whose reference carries a ``traces_identical`` flag must report
+``true`` in the candidate — a faster-but-wrong rollout, or one that no
+longer says, is a failure, not a win.
+
+The default tolerance (0.15) is set from the ratio's spread over repeated
+probe runs (see README "Vectorized rollouts").
 
 Exit status: 0 when every gate passes, 1 on any regression, broken trace
 or malformed input. The ci.sh bench-diff stage runs this against a
@@ -21,6 +31,7 @@ import argparse
 import json
 import sys
 
+RATIO_METRIC = "speedup"
 THROUGHPUT_SUFFIX = "_steps_per_s"
 
 
@@ -43,8 +54,9 @@ def is_number(v):
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--tolerance", type=float, default=0.10,
-                    help="allowed fractional throughput drop (default 0.10)")
+    ap.add_argument("--tolerance", type=float, default=0.15,
+                    help="allowed fractional drop of the in-run ratio "
+                         "(default 0.15)")
     ap.add_argument("reference", help="tracked baseline JSON")
     ap.add_argument("candidate", help="freshly generated JSON to gate")
     args = ap.parse_args()
@@ -69,10 +81,13 @@ def main():
                   f"{json.dumps(c.get('traces_identical'))}, not true")
             failures += 1
         for metric, r_val in r.items():
-            if not metric.endswith(THROUGHPUT_SUFFIX) or \
-               not is_number(r_val) or r_val <= 0:
-                continue
             c_val = c.get(metric)
+            if metric.endswith(THROUGHPUT_SUFFIX) and is_number(r_val) and \
+               is_number(c_val) and r_val > 0:
+                print(f"info {key}.{metric}: {c_val:.1f} vs reference "
+                      f"{r_val:.1f} ({c_val / r_val:.2%}; not gated)")
+            if metric != RATIO_METRIC or not is_number(r_val) or r_val <= 0:
+                continue
             if not is_number(c_val):
                 print(f"FAIL {key}.{metric}: missing or non-numeric in the "
                       f"candidate ({json.dumps(c_val)})")
@@ -80,22 +95,21 @@ def main():
                 continue
             compared += 1
             floor = (1.0 - args.tolerance) * r_val
-            ratio = c_val / r_val
             verdict = "ok" if c_val >= floor else "FAIL"
-            print(f"{verdict:4} {key}.{metric}: {c_val:.1f} vs "
-                  f"reference {r_val:.1f} ({ratio:.2%})")
+            print(f"{verdict:4} {key}.{metric}: {c_val:.3f} vs "
+                  f"reference {r_val:.3f} ({c_val / r_val:.2%})")
             if c_val < floor:
                 failures += 1
 
     if compared == 0:
-        print("bench_diff: no throughput metrics found to compare",
+        print("bench_diff: no ratio metrics found to compare",
               file=sys.stderr)
         return 1
     if failures:
         print(f"bench_diff: {failures} regression(s) beyond "
               f"{args.tolerance:.0%} tolerance", file=sys.stderr)
         return 1
-    print(f"bench_diff: {compared} throughput metric(s) within "
+    print(f"bench_diff: {compared} ratio metric(s) within "
           f"{args.tolerance:.0%} of the baseline")
     return 0
 

@@ -832,7 +832,6 @@ X86_CONTRACTS = {
 }
 ARM_CONTRACTS = {
     "src/nn/kernel_scalar.cpp": ({"-ffp-contract=off"}, set()),
-    "src/nn/kernel_neon.cpp": ({"-ffp-contract=off"}, set()),
     "src/nn/quant.cpp": ({"-ffp-contract=off"}, set()),
 }
 

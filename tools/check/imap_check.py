@@ -86,7 +86,6 @@ RULE_HOME = {
 ARCH_ONLY = {
     "src/nn/kernel_avx2.cpp": "x86",
     "src/nn/kernel_avx512.cpp": "x86",
-    "src/nn/kernel_neon.cpp": "arm",
 }
 
 

@@ -282,15 +282,14 @@ class TestKernelFlags(unittest.TestCase):
         }, {
             "directory": "/kt",
             "command": "g++ -std=c++17 -O2 -ffp-contract=off "
-                       "-c src/nn/kernel_neon.cpp -o n.o",
-            "file": "src/nn/kernel_neon.cpp",
-        }, {
-            "directory": "/kt",
-            "command": "g++ -std=c++17 -O2 -ffp-contract=off "
                        "-c src/nn/quant.cpp -o q.o",
             "file": "src/nn/quant.cpp",
         }]
         self.assertEqual(checks.check_kernel_flags(db, "/kt", "aarch64"), [])
+        # The same TUs break the x86 contract, which requires -mno-fma.
+        x86 = checks.check_kernel_flags(db, "/kt", "x86_64")
+        self.assertTrue(any(f.path.endswith("kernel_scalar.cpp") and
+                            "-mno-fma" in f.message for f in x86))
 
 
 class TestSuppression(unittest.TestCase):

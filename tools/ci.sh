@@ -127,12 +127,14 @@ IMAP_BENCH_NO_PROBE=1 "${BUILD_DIR}/bench/bench_micro_infer" \
   IMAP_BENCH_SERVE_ITERS=2 IMAP_BENCH_SERVE_REPS=1 ./bench/bench_serve \
   > /dev/null ) || exit 1
 
-stage "bench-diff (rollout steps/s gate vs tracked BENCH_rollout.json)"
-# Regenerate the rollout-collection probe in the build dir (min-of-7
-# collects, serial vs vectorized, bit-identity asserted) and gate it against
-# the tracked baseline: a >10% steps/s regression fails the stage. One warm
-# retry absorbs cold-start noise (page cache, CPU frequency ramp); a real
-# regression fails both runs.
+stage "bench-diff (rollout in-run ratio gate vs tracked BENCH_rollout.json)"
+# Regenerate the rollout-collection probe in the build dir (16 one-slot
+# collectors vs one 16-slot engine on the same streams, alternating, min of
+# 15 collects each, bit-identity asserted) and gate it against the tracked
+# baseline: the vectorized/serial ratio falling >15% fails the stage.
+# Absolute steps/s are printed but not gated — they follow this shared
+# machine's phase, which cancels out of the in-run ratio. One warm retry
+# absorbs cold-start noise; a real regression fails both runs.
 run_rollout_probe() {
   ( cd "${BUILD_DIR}" &&
     IMAP_BENCH_ROLLOUT_PROBE_ONLY=1 ./bench/bench_micro_ppo > /dev/null )

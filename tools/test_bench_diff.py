@@ -19,12 +19,13 @@ REFERENCE = {
         "serial_collect_s": 0.038,
         "serial_steps_per_s": 50000.0,
         "vectorized_steps_per_s": 120000.0,
+        "speedup": 2.0,
         "traces_identical": True,
     }
 }
 
 
-def run_diff(reference, candidate):
+def run_diff(reference, candidate, flags=()):
     with tempfile.TemporaryDirectory() as tmp:
         paths = []
         for name, data in (("ref.json", reference), ("cand.json", candidate)):
@@ -33,7 +34,8 @@ def run_diff(reference, candidate):
                 json.dump(data, fh)
             paths.append(path)
         r = subprocess.run(
-            [sys.executable, os.path.join(HERE, "bench_diff.py")] + paths,
+            [sys.executable, os.path.join(HERE, "bench_diff.py")] +
+            list(flags) + paths,
             capture_output=True, text=True)
     return r.returncode, r.stdout + r.stderr
 
@@ -58,27 +60,40 @@ class BenchDiff(unittest.TestCase):
 
     def test_identical_passes(self):
         out = self.assert_exit(candidate(), 0)
-        self.assertIn("2 throughput metric(s) within 10%", out)
+        self.assertIn("1 ratio metric(s) within 15%", out)
 
-    def test_drop_within_tolerance_passes(self):
-        self.assert_exit(candidate(vectorized_steps_per_s=110000.0), 0)
+    def test_ratio_drop_within_tolerance_passes(self):
+        self.assert_exit(candidate(speedup=1.8), 0)
 
-    def test_drop_beyond_tolerance_fails(self):
-        out = self.assert_exit(candidate(vectorized_steps_per_s=100000.0), 1)
-        self.assertIn("FAIL BM_RolloutCollect.vectorized_steps_per_s", out)
+    def test_ratio_regression_fails(self):
+        out = self.assert_exit(candidate(speedup=1.6), 1)
+        self.assertIn("FAIL BM_RolloutCollect.speedup", out)
 
-    def test_missing_metric_and_trace_flag_fail(self):
+    def test_tolerance_flag_moves_the_floor(self):
+        code, _ = run_diff(REFERENCE, candidate(speedup=1.6),
+                           ["--tolerance", "0.25"])
+        self.assertEqual(code, 0)
+
+    def test_absolute_throughput_is_reported_not_gated(self):
+        # A slow machine phase moves both arms; the in-run ratio holds.
+        out = self.assert_exit(candidate(serial_steps_per_s=20000.0,
+                                         vectorized_steps_per_s=48000.0), 0)
+        self.assertIn("info BM_RolloutCollect.vectorized_steps_per_s", out)
+        self.assertIn("not gated", out)
+
+    def test_missing_ratio_and_trace_flag_fail(self):
         out = self.assert_exit(
-            candidate(vectorized_steps_per_s=None, traces_identical=None), 1)
-        self.assertIn("vectorized_steps_per_s: missing or non-numeric", out)
+            candidate(speedup=None, traces_identical=None), 1)
+        self.assertIn("speedup: missing or non-numeric", out)
         self.assertIn("traces_identical is null", out)
 
-    def test_missing_metric_fails(self):
-        self.assert_exit(candidate(serial_steps_per_s=None), 1)
+    def test_non_numeric_ratio_fails(self):
+        self.assert_exit(candidate(speedup="fast"), 1)
+        self.assert_exit(candidate(speedup=True), 1)
 
-    def test_non_numeric_metric_fails(self):
-        self.assert_exit(candidate(vectorized_steps_per_s="fast"), 1)
-        self.assert_exit(candidate(vectorized_steps_per_s=True), 1)
+    def test_reference_without_a_ratio_fails(self):
+        ref = candidate(speedup=None)
+        self.assert_exit(candidate(), 1, reference=ref)
 
     def test_missing_trace_flag_fails(self):
         self.assert_exit(candidate(traces_identical=None), 1)
@@ -91,7 +106,7 @@ class BenchDiff(unittest.TestCase):
         self.assert_exit(candidate(traces_identical=None), 0, reference=ref)
 
     def test_no_shared_entries_fails(self):
-        self.assert_exit({"BM_Other": {"x_steps_per_s": 1.0}}, 1)
+        self.assert_exit({"BM_Other": {"speedup": 1.0}}, 1)
 
 
 if __name__ == "__main__":
