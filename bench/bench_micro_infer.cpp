@@ -5,10 +5,13 @@
 // IMAP_BENCH_NO_PROBE is set, e.g. by the CI bench-smoke stage): the same
 // frozen victim ({11, 64, 64, 3}, Hopper scale) is served through a plain
 // fp64 PolicyHandle and through an int8 handle built under ScopedVictimQuant,
-// query_batch is timed at batch 16/32/64 (min over 7 repetitions each), and
-// the per-batch throughput, speedup and the max |Δaction| between the two
-// paths are recorded in BENCH_infer.json (committed, see README). The
-// google-benchmark suites then run as usual.
+// query_batch is timed at batch 16/32/64 (the two paths alternating, min
+// over 7 repetitions each), and
+// the per-batch throughput and speedup, their minimum over the batch sizes
+// (`speedup`, the in-run ratio the ci bench-diff stage gates) and the max
+// |Δaction| between the two paths are recorded in BENCH_infer.json
+// (committed, see README). The google-benchmark suites then run as usual;
+// IMAP_BENCH_PROBE_ONLY=1 exits after the probe.
 
 #include <benchmark/benchmark.h>
 
@@ -20,6 +23,7 @@
 #include <limits>
 #include <memory>
 #include <sstream>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -77,27 +81,36 @@ BENCHMARK(BM_VictimQueryBatch)
     ->Args({64, 0})
     ->Args({64, 1});
 
-/// Seconds for `calls` back-to-back query_batch calls on `obs`, min over 7
-/// repetitions (min, not mean: background load only ever inflates a rep, so
-/// the minimum is the robust estimate of the serving cost).
-double time_queries(const rl::PolicyHandle& handle, const nn::Batch& obs,
-                    int calls) {
-  nn::Mlp::Workspace ws;
-  handle.query_batch(obs, ws);  // warm-up: grow the workspace arenas
-  constexpr int kReps = 7;
-  double secs = std::numeric_limits<double>::infinity();
-  for (int rep = 0; rep < kReps; ++rep) {
+/// Seconds for `calls` back-to-back query_batch calls on `obs` through the
+/// fp64 and the int8 handle. The two alternate one repetition each, so a
+/// shift in the machine's speed lands on both and their ratio is an in-run
+/// measurement; each is the min over 7 repetitions (min, not mean:
+/// background load only ever inflates a rep, so the minimum is the robust
+/// estimate of the serving cost).
+std::pair<double, double> time_queries(const rl::PolicyHandle& fp64,
+                                       const rl::PolicyHandle& int8,
+                                       const nn::Batch& obs, int calls) {
+  nn::Mlp::Workspace fp64_ws, int8_ws;
+  // Warm-up: grow the workspace arenas.
+  fp64.query_batch(obs, fp64_ws);
+  int8.query_batch(obs, int8_ws);
+  const auto time_one = [&](const rl::PolicyHandle& h, nn::Mlp::Workspace& ws) {
     const auto t0 = std::chrono::steady_clock::now();
     for (int i = 0; i < calls; ++i) {
-      const auto& y = handle.query_batch(obs, ws);
+      const auto& y = h.query_batch(obs, ws);
       benchmark::DoNotOptimize(y.data());
     }
-    secs = std::min(
-        secs, std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                            t0)
-                  .count());
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+        .count();
+  };
+  constexpr int kReps = 7;
+  double fp64_s = std::numeric_limits<double>::infinity();
+  double int8_s = fp64_s;
+  for (int rep = 0; rep < kReps; ++rep) {
+    fp64_s = std::min(fp64_s, time_one(fp64, fp64_ws));
+    int8_s = std::min(int8_s, time_one(int8, int8_ws));
   }
-  return secs;
+  return {fp64_s, int8_s};
 }
 
 void infer_probe() {
@@ -139,8 +152,8 @@ void infer_probe() {
     const int calls = 16384 / b;
     const nn::Batch obs =
         random_obs(static_cast<std::size_t>(b), victim->obs_dim(), rng);
-    const double fp64_s = time_queries(fp64_handle, obs, calls);
-    const double int8_s = time_queries(int8_handle, obs, calls);
+    const auto [fp64_s, int8_s] =
+        time_queries(fp64_handle, int8_handle, obs, calls);
     const double total = static_cast<double>(calls) * b;
     const double fp64_qps = fp64_s > 0.0 ? total / fp64_s : 0.0;
     const double int8_qps = int8_s > 0.0 ? total / int8_s : 0.0;
@@ -162,7 +175,7 @@ void infer_probe() {
               << "x)\n";
   }
   os.precision(3);
-  os << "], \"min_speedup\": " << min_speedup << "}";
+  os << "], \"speedup\": " << min_speedup << "}";
   bench::write_report_entry("BENCH_infer.json", "BM_VictimQueryBatch",
                             os.str());
   std::cerr << "bench_micro_infer probe: min speedup " << min_speedup
@@ -176,6 +189,7 @@ void infer_probe() {
 
 int main(int argc, char** argv) {
   if (std::getenv("IMAP_BENCH_NO_PROBE") == nullptr) infer_probe();
+  if (std::getenv("IMAP_BENCH_PROBE_ONLY") != nullptr) return 0;
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

@@ -2,7 +2,7 @@
 // nn kernels and PPO training throughput — the cost model behind the bench
 // budgets.
 //
-// The custom main() first runs three probes (skipped when
+// The custom main() first runs two probes (skipped when
 // IMAP_BENCH_NO_PROBE is set, e.g. by the CI bench-smoke stage):
 //  * a parallel-speedup probe — the same PPO configuration (4 rollout
 //    workers, auto gradient shards) timed once pinned serial (ScopedSerial)
@@ -11,11 +11,7 @@
 //    BENCH_parallel.json;
 //  * a kernel probe — the batched PPO update timed on one fixed rollout
 //    (hidden {64,64}, minibatch 64), recording seconds per update in
-//    BENCH_kernels.json (committed, see README);
-//  * a rollout probe — 16 one-slot VecEnvs vs one 16-slot VecEnv (E = 16
-//    lockstep slots) on the same streams over the victim-wrapped Hopper,
-//    verifying the rollouts are bit-identical and recording the steps/s and
-//    their in-run ratio in BENCH_rollout.json (committed, see README).
+//    BENCH_kernels.json (committed, see README).
 // The google-benchmark suites then run as usual.
 
 #include <benchmark/benchmark.h>
@@ -35,7 +31,6 @@
 #include "grid_runner.h"
 #include "nn/batch.h"
 #include "rl/ppo.h"
-#include "rl/vec_env.h"
 
 using namespace imap;
 
@@ -107,9 +102,9 @@ void BM_PpoUpdate(benchmark::State& state) {
 }
 BENCHMARK(BM_PpoUpdate)->Unit(benchmark::kMillisecond);
 
-/// The attack-rollout MDP the collection benchmarks run on: Hopper wrapped
+/// The attack-rollout MDP the collection benchmark runs on: Hopper wrapped
 /// in StatePerturbationEnv over a network-backed frozen victim, so every
-/// step pays a victim forward — the case the vectorized engine batches.
+/// step pays a one-row victim query.
 std::unique_ptr<attack::StatePerturbationEnv> make_collect_proto() {
   const auto inner = env::make_env("Hopper");
   Rng victim_rng(11);
@@ -120,33 +115,23 @@ std::unique_ptr<attack::StatePerturbationEnv> make_collect_proto() {
       attack::RewardMode::Adversary);
 }
 
-// Rollout collection throughput: Arg = E lockstep env slots. E = 1 is the
-// serial collector (one-row policy, value and victim forwards per step);
-// E >= 4 answers each tick with one batched policy, value and victim
-// forward across the slots. E = 1 collects on the trainer's own stream and
-// E > 1 on per-slot child streams, so the rollouts differ across E.
+// Rollout collection throughput: one slot on the trainer's stream, one-row
+// policy, value and victim forwards per step.
 void BM_RolloutCollect(benchmark::State& state) {
   const auto proto = make_collect_proto();
   rl::PpoOptions opts;
   opts.hidden = {64, 64};
   opts.steps_per_iter = 2048;
-  opts.envs_per_worker = static_cast<int>(state.range(0));
   rl::PpoTrainer trainer(*proto, opts, Rng(7));
   rl::RolloutBuffer buf;
   for (auto _ : state) {
     trainer.collect(buf);
     benchmark::DoNotOptimize(buf.size());
   }
-  state.SetLabel(state.range(0) == 1 ? "serial" : "vectorized");
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           opts.steps_per_iter);
 }
-BENCHMARK(BM_RolloutCollect)
-    ->Arg(1)
-    ->Arg(4)
-    ->Arg(16)
-    ->Arg(64)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_RolloutCollect)->Unit(benchmark::kMillisecond);
 
 void BM_PpoIteration(benchmark::State& state) {
   auto env = env::make_env("Hopper");
@@ -282,137 +267,12 @@ void kernel_probe() {
             << "s -> BENCH_kernels.json\n";
 }
 
-/// Order-sensitive checksum of everything a collection writes — two rollouts
-/// agree on it iff they are bit-identical in every recorded field.
-double buffer_checksum(const rl::RolloutBuffer& buf) {
-  double sum = static_cast<double>(buf.size());
-  for (std::size_t i = 0; i < buf.size(); ++i) {
-    for (const double v : buf.obs[i]) sum += v;
-    for (const double v : buf.act[i]) sum += v;
-    sum += buf.logp[i] + buf.rew_e[i] + buf.val_e[i];
-    sum += static_cast<double>(buf.boundary[i]);
-  }
-  for (const double v : buf.last_val_e) sum += v;
-  for (const double v : buf.episode_returns) sum += v;
-  return sum;
-}
-
-/// One arm of the rollout probe over 16 slot streams on the victim-wrapped
-/// Hopper: one 16-slot lockstep VecEnv, or 16 one-slot VecEnvs run in turn
-/// (the serial collector). Each collect merges the slot buffers in slot
-/// order as PpoTrainer::collect does.
-class RolloutArm {
- public:
-  RolloutArm(const rl::Env& proto, const std::vector<Rng>& streams,
-             bool vectorized)
-      : engines_(vectorized ? 1 : streams.size()) {
-    if (vectorized) {
-      engines_[0].configure(proto, streams);
-    } else {
-      for (std::size_t i = 0; i < streams.size(); ++i)
-        engines_[i].configure(proto, {streams[i]});
-    }
-  }
-
-  /// Collect `budgets` (one entry per stream) and return the seconds taken.
-  double collect(const nn::GaussianPolicy& policy, const nn::ValueNet& value_e,
-                 const nn::ValueNet& value_i, const std::vector<int>& budgets) {
-    const auto t0 = std::chrono::steady_clock::now();
-    for (auto& vec : engines_)
-      vec.collect(policy, value_e, value_i, budgets, 0);
-    buf_.clear();
-    buf_.reserve_step(policy.obs_dim(), policy.act_dim());
-    for (auto& vec : engines_)
-      for (std::size_t i = 0; i < vec.size(); ++i) buf_.append(vec.slot(i).buf);
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-        .count();
-  }
-
-  const rl::RolloutBuffer& buffer() const { return buf_; }
-
- private:
-  std::vector<rl::VecEnv> engines_;
-  rl::RolloutBuffer buf_;
-};
-
-/// Time the serial and the 16-slot arm over the same 16 slot streams,
-/// alternating one collect of each per round so a shift in the machine's
-/// speed lands on both arms: their ratio is an in-run measurement.
-void rollout_probe() {
-  ScopedSerial serial;  // isolate the batching speedup from thread scaling
-  const auto proto = make_collect_proto();
-  constexpr std::size_t kSlots = 16;
-  constexpr int kSteps = 2048;
-  Rng rng(7);
-  const nn::GaussianPolicy policy(proto->obs_dim(), proto->act_dim(),
-                                  {64, 64}, rng);
-  const nn::ValueNet value_e(proto->obs_dim(), {64, 64}, rng);
-  const nn::ValueNet value_i(proto->obs_dim(), {64, 64}, rng);
-  std::vector<Rng> streams;
-  for (std::size_t i = 0; i < kSlots; ++i) streams.push_back(rng.split(i));
-  const std::vector<int> budgets(kSlots, kSteps / static_cast<int>(kSlots));
-  RolloutArm serial_arm(*proto, streams, false);
-  RolloutArm vectorized_arm(*proto, streams, true);
-  // Warm-up round: grow buffers and workspaces.
-  serial_arm.collect(policy, value_e, value_i, budgets);
-  vectorized_arm.collect(policy, value_e, value_i, budgets);
-  // Min over rounds, not mean (see kernel_probe_run). Both arms step the
-  // same slot streams, so round r's rollouts match across arms and the
-  // last checksums are comparable.
-  constexpr int kRounds = 15;
-  double serial_s = std::numeric_limits<double>::infinity();
-  double vectorized_s = serial_s;
-  for (int i = 0; i < kRounds; ++i) {
-    serial_s = std::min(serial_s,
-                        serial_arm.collect(policy, value_e, value_i, budgets));
-    vectorized_s = std::min(
-        vectorized_s, vectorized_arm.collect(policy, value_e, value_i, budgets));
-  }
-  const double serial_sps = serial_s > 0.0 ? kSteps / serial_s : 0.0;
-  const double vectorized_sps =
-      vectorized_s > 0.0 ? kSteps / vectorized_s : 0.0;
-  const double speedup = vectorized_s > 0.0 ? serial_s / vectorized_s : 1.0;
-  // Exact on purpose: the arms must agree bit for bit.
-  const bool identical =
-      buffer_checksum(serial_arm.buffer()) ==  // imap-check: allow(float-eq)
-      buffer_checksum(vectorized_arm.buffer());
-
-  std::ostringstream os;
-  os.setf(std::ios::fixed);
-  os.precision(5);
-  os << "{\"env\": \"Hopper\", \"threat_model\": \"StatePerturbationEnv\""
-     << ", \"hidden\": [64, 64], \"steps_per_iter\": 2048"
-     << ", \"envs_per_worker\": 16, \"rounds\": " << kRounds
-     << ", \"serial_collect_s\": " << serial_s
-     << ", \"vectorized_collect_s\": " << vectorized_s;
-  os.precision(1);
-  os << ", \"serial_steps_per_s\": " << serial_sps
-     << ", \"vectorized_steps_per_s\": " << vectorized_sps;
-  os.precision(3);
-  os << ", \"speedup\": " << speedup
-     << ", \"traces_identical\": " << (identical ? "true" : "false") << "}";
-  bench::write_report_entry("BENCH_rollout.json", "BM_RolloutCollect",
-                            os.str());
-  std::cerr << "bench_micro_ppo rollout probe: serial collect " << serial_s
-            << "s vs vectorized (E=16) " << vectorized_s << "s (" << speedup
-            << "x); traces " << (identical ? "identical" : "DIVERGED")
-            << " -> BENCH_rollout.json\n";
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Probe-only mode for the CI bench-diff gate: run just the rollout probe
-  // (writes BENCH_rollout.json in the cwd) and exit, skipping the slower
-  // speedup/kernel probes and the google-benchmark suites.
-  if (std::getenv("IMAP_BENCH_ROLLOUT_PROBE_ONLY") != nullptr) {
-    rollout_probe();
-    return 0;
-  }
   if (std::getenv("IMAP_BENCH_NO_PROBE") == nullptr) {
     speedup_probe();
     kernel_probe();
-    rollout_probe();
   }
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;

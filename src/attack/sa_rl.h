@@ -54,8 +54,8 @@ class SaRl : public PpoAdversary {
   using PpoAdversary::PpoAdversary;
 
   /// Train against StatePerturbationEnv(deploy_env, victim, eps, Adversary).
-  /// Network-backed victim handles let the vectorized rollout engine batch
-  /// the victim queries (rl::PolicyHandle converts implicitly from ActionFn).
+  /// rl::PolicyHandle converts implicitly from ActionFn; a network-backed
+  /// handle answers the victim queries bit-identically, and faster.
   SaRl(const rl::Env& deploy_env, rl::PolicyHandle victim, double eps,
        rl::PpoOptions ppo, Rng rng);
 };

@@ -39,16 +39,11 @@ std::vector<double> OpponentEnv::reset(Rng& rng) {
   return obs_a;
 }
 
-const std::vector<double>& OpponentEnv::begin_step(
-    const std::vector<double>& action) {
-  pending_act_a_ = game_->adversary_action_space().clamp(action);
-  return cur_obs_v_;
-}
-
-rl::StepResult OpponentEnv::finish_step(
-    const std::vector<double>& policy_out) {
-  const auto act_v = game_->victim_action_space().clamp(policy_out);
-  env::MaStepResult ma = game_->step(act_v, pending_act_a_);
+rl::StepResult OpponentEnv::step(const std::vector<double>& action) {
+  const auto act_a = game_->adversary_action_space().clamp(action);
+  const auto act_v =
+      game_->victim_action_space().clamp(victim_.query(cur_obs_v_));
+  env::MaStepResult ma = game_->step(act_v, act_a);
   cur_obs_v_ = std::move(ma.obs_v);
 
   rl::StepResult sr;
@@ -61,10 +56,6 @@ rl::StepResult OpponentEnv::finish_step(
   sr.reward = over ? (ma.victim_won ? -1.0 : 0.0) : 0.0;
   sr.fell = false;
   return sr;
-}
-
-rl::StepResult OpponentEnv::step(const std::vector<double>& action) {
-  return finish_step(victim_.query(begin_step(action)));
 }
 
 rl::EvalStats evaluate_attack(const rl::Env& deploy_env,

@@ -6,7 +6,6 @@
 #include "rl/env.h"
 #include "rl/evaluate.h"
 #include "rl/policy_handle.h"
-#include "rl/split_step.h"
 #include "scenario/scenario_env.h"
 
 namespace imap::attack {
@@ -33,10 +32,7 @@ class StatePerturbationEnv : public scenario::ScenarioEnv {
 /// adversary observes the joint state; its terminal reward is −1 when the
 /// victim wins and 0 otherwise (so J_AP = ASR − 1, matching the paper's
 /// "ASR = J_AP + 1").
-///
-/// Also a rl::SplitStepEnv: begin_step banks the adversary action and
-/// returns the victim-side observation, finish_step plays the joint step.
-class OpponentEnv : public rl::EnvBase<OpponentEnv>, public rl::SplitStepEnv {
+class OpponentEnv : public rl::EnvBase<OpponentEnv> {
  public:
   OpponentEnv(const env::MultiAgentEnv& game, rl::PolicyHandle victim);
   OpponentEnv(const OpponentEnv& other);
@@ -53,13 +49,6 @@ class OpponentEnv : public rl::EnvBase<OpponentEnv>, public rl::SplitStepEnv {
   std::vector<double> reset(Rng& rng) override;
   rl::StepResult step(const std::vector<double>& action) override;
 
-  // SplitStepEnv: step(a) == finish_step(victim.query(begin_step(a))).
-  const std::vector<double>& begin_step(
-      const std::vector<double>& action) override;
-  rl::StepResult finish_step(const std::vector<double>& policy_out) override;
-  std::size_t query_dim() const override { return game_->victim_obs_dim(); }
-  const rl::PolicyHandle& frozen_policy() const override { return victim_; }
-
   /// Projections Π_{S^ν}, Π_{S^α} over the adversary observation, for the
   /// multi-agent regularizers.
   std::pair<std::size_t, std::size_t> victim_obs_range() const {
@@ -73,7 +62,6 @@ class OpponentEnv : public rl::EnvBase<OpponentEnv>, public rl::SplitStepEnv {
   std::unique_ptr<env::MultiAgentEnv> game_;
   rl::PolicyHandle victim_;
   std::vector<double> cur_obs_v_;
-  std::vector<double> pending_act_a_;  ///< begin_step scratch (reused)
 };
 
 /// Evaluate a single-agent attack: roll the deployment env under the frozen

@@ -232,7 +232,7 @@ AttackOutcome ExperimentRunner::run_scenario(const AttackPlan& plan,
           ? scenario::with_default_threat(scenario::parse(plan.env_name))
           : scenario::parse(plan.scenario);
   const auto victim_policy = zoo_.victim(spec.env, plan.defense);
-  // Network-backed handle: vectorized attack rollouts batch the victim.
+  // Network-backed handle: victim queries run the batched kernels.
   const auto victim = Zoo::as_policy(victim_policy);
 
   Rng rng = plan_rng(plan);

@@ -38,8 +38,8 @@ class ImapTrainer {
 
   /// Single-agent form: state-perturbation attack within ‖a^α‖∞ ≤ ε, i.e.
   /// the attack env StatePerturbationEnv(deploy_env, victim, eps,
-  /// Adversary). A network-backed victim handle lets the vectorized rollout
-  /// engine batch victim queries.
+  /// Adversary). A network-backed victim handle answers victim queries
+  /// through the batched kernels (rl::PolicyHandle::query).
   ImapTrainer(const rl::Env& deploy_env, rl::PolicyHandle victim, double eps,
               ImapOptions opts, Rng rng);
 

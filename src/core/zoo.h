@@ -63,10 +63,10 @@ class Zoo {
   /// Wrap a policy as the deployed black-box ActionFn (deterministic mean).
   static rl::ActionFn as_fn(const nn::GaussianPolicy& policy);
 
-  /// Wrap a policy as a network-backed frozen handle: per-sample queries are
-  /// bit-identical to as_fn, and the vectorized rollout engine can
-  /// additionally answer them batched (one victim forward per lockstep
-  /// tick). Preferred for attack-trainer construction.
+  /// Wrap a policy as a network-backed frozen handle: queries are
+  /// bit-identical to as_fn, but run the batched kernels on cached weight
+  /// transposes (PolicyHandle::query). Preferred for attack-trainer
+  /// construction.
   static rl::PolicyHandle as_policy(const nn::GaussianPolicy& policy);
 
   /// Training budget (environment steps) for a task, after scaling.

@@ -91,16 +91,6 @@ std::unique_ptr<rl::Env> make_env(const std::string& name) {
   return nullptr;  // unreachable
 }
 
-std::vector<std::unique_ptr<rl::Env>> make_env_batch(const std::string& name,
-                                                     std::size_t count) {
-  std::vector<std::unique_ptr<rl::Env>> batch;
-  batch.reserve(count);
-  if (count == 0) return batch;
-  batch.push_back(make_env(name));
-  for (std::size_t i = 1; i < count; ++i) batch.push_back(batch[0]->clone());
-  return batch;
-}
-
 std::unique_ptr<rl::Env> make_training_env(const std::string& name) {
   // Sparse tasks: the victim is trained on the dense counterpart (shaped
   // training rewards are the victim's own knowledge; the attacker only ever

@@ -37,13 +37,6 @@ std::optional<std::string> resolve_name(const std::string& name);
 /// on unknown names.
 std::unique_ptr<rl::Env> make_env(const std::string& name);
 
-/// `count` independent instances of the task — the slot prototypes of a
-/// vectorized rollout (rl::VecEnv). Instances are clones of one prototype,
-/// so they share spaces and dynamics; behaviour differs only through the Rng
-/// each slot is stepped with.
-std::vector<std::unique_ptr<rl::Env>> make_env_batch(const std::string& name,
-                                                     std::size_t count);
-
 /// Victim-training environment for the task: dense counterparts for the
 /// sparse tasks (the victim trains with its own shaped reward — which the
 /// black-box attacker never sees), identity for the dense tasks.

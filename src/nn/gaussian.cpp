@@ -24,12 +24,6 @@ double log_prob(const double* a, const double* mean, const double* log_std,
   return lp;
 }
 
-double log_prob(const std::vector<double>& a, const std::vector<double>& mean,
-                const std::vector<double>& log_std) {
-  IMAP_CHECK(a.size() == mean.size() && a.size() == log_std.size());
-  return log_prob(a.data(), mean.data(), log_std.data(), a.size());
-}
-
 double entropy(const std::vector<double>& log_std) {
   double h = 0.0;
   for (double ls : log_std) h += ls + 0.5 * (kLog2Pi + 1.0);
@@ -80,16 +74,6 @@ const Batch& GaussianPolicy::mean_batch(const Batch& obs) {
 const Batch& GaussianPolicy::mean_batch(const Batch& obs,
                                         Mlp::Workspace& ws) const {
   return net_.forward_batch(obs, ws);
-}
-
-void GaussianPolicy::log_prob_batch(const Batch& obs, const Batch& act,
-                                    std::vector<double>& out) {
-  IMAP_CHECK(act.rows() == obs.rows() && act.dim() == act_dim());
-  const Batch& mean = mean_batch(obs);
-  out.resize(obs.rows());
-  for (std::size_t n = 0; n < obs.rows(); ++n)
-    out[n] = diag_gaussian::log_prob(act.row(n), mean.row(n), log_std_.data(),
-                                     act_dim());
 }
 
 void GaussianPolicy::backward_logp_batch(const Batch& act,

@@ -10,13 +10,9 @@ namespace imap::nn {
 /// Closed-form diagonal-Gaussian math shared by the policy classes.
 namespace diag_gaussian {
 
-/// Pointer core of log_prob — the batched paths call this once per row.
+/// log N(a | mean, exp(log_std)²), summed over the n dims.
 double log_prob(const double* a, const double* mean, const double* log_std,
                 std::size_t n);
-
-/// log N(a | mean, exp(log_std)²), summed over dims.
-double log_prob(const std::vector<double>& a, const std::vector<double>& mean,
-                const std::vector<double>& log_std);
 
 /// Differential entropy, summed over dims (state-independent given log_std).
 double entropy(const std::vector<double>& log_std);
@@ -56,14 +52,9 @@ class GaussianPolicy {
   /// to mean_action() on that row.
   const Batch& mean_batch(const Batch& obs, Mlp::Workspace& ws) const;
 
-  /// log π(a_n|s_n) for every row of a minibatch, written into `out`
-  /// (resized to obs.rows()). Records the mean tape like mean_batch.
-  void log_prob_batch(const Batch& obs, const Batch& act,
-                      std::vector<double>& out);
-
   /// Accumulate Σ_n coeff[n]·∇_θ log π(a_n|s_n) into the gradient buffers,
-  /// over the tape recorded by the last mean_batch/log_prob_batch. Used by
-  /// the PPO policy-gradient step (coeff = clipped advantage weight) and by
+  /// over the tape recorded by the last mean_batch. Used by the PPO
+  /// policy-gradient step (coeff = clipped advantage weight) and by
   /// behaviour cloning. Bit-identical to one-row batches in ascending row
   /// order (coeff[n] = 0 rows contribute exact zeros).
   void backward_logp_batch(const Batch& act, const std::vector<double>& coeff);
@@ -117,9 +108,8 @@ class ValueNet {
   void value_batch(const Batch& obs, std::vector<double>& out);
 
   /// Inference-only batched values through a caller-owned workspace — the
-  /// critic sweep of the vectorized rollout engine (one critic shared by
-  /// all worker threads, one workspace per worker). Bit-identical to
-  /// per-row value().
+  /// rollout slots' critic forward (one critic shared by all slot threads,
+  /// one workspace per slot). Bit-identical to per-row value().
   void value_batch(const Batch& obs, Mlp::Workspace& ws,
                    std::vector<double>& out) const;
 

@@ -150,15 +150,6 @@ const Batch& QuantizedMlp::forward_batch(const Batch& x,
   return ws.qout;
 }
 
-std::vector<double> QuantizedMlp::forward(const std::vector<double>& x) const {
-  thread_local Mlp::Workspace ws;
-  thread_local Batch xb;
-  xb.resize(1, x.size());
-  xb.set_row(0, x);
-  const Batch& y = forward_batch(xb, ws);
-  return std::vector<double>(y.row(0), y.row(0) + out_dim_);
-}
-
 namespace {
 // -1 = follow the environment, 0/1 = ScopedVictimQuant override.
 int g_quant_override = -1;

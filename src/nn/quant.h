@@ -63,10 +63,6 @@ class QuantizedMlp {
   /// backends and across batch sizes (each row is processed independently).
   const Batch& forward_batch(const Batch& x, Mlp::Workspace& ws) const;
 
-  /// Single-sample convenience over forward_batch (thread-local scratch);
-  /// bit-identical to the corresponding batched row.
-  std::vector<double> forward(const std::vector<double>& x) const;
-
  private:
   struct QLayer {
     std::size_t in;

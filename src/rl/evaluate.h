@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "common/stats.h"
-#include "nn/gaussian.h"
 #include "rl/env.h"
 
 namespace imap::rl {
@@ -25,19 +24,6 @@ struct EvalStats {
 /// Roll `episodes` episodes of `proto` under `act` and summarise.
 EvalStats evaluate(const Env& proto, const ActionFn& act, int episodes,
                    Rng& rng);
-
-/// Lock-step batched evaluation of a deterministic (mean-action) policy:
-/// all still-live episodes are answered by one batched forward per step.
-/// Episode e uses the child stream rng.split(e), so episode results are
-/// exactly equal — bitwise — to running `evaluate(proto, mean-action fn, 1,
-/// r)` with `Rng r = rng.split(e)` once per episode; only the wall-clock
-/// changes. (Non-const policy: batched forwards write its workspace.)
-/// When `proto` is a SplitStepEnv over a network-backed frozen policy (the
-/// threat-model wrappers), the per-step victim queries of all live episodes
-/// are answered by one batched victim forward as well — still bitwise equal,
-/// by the SplitStepEnv contract.
-EvalStats evaluate_batched(const Env& proto, nn::GaussianPolicy& policy,
-                           int episodes, Rng& rng);
 
 /// Dump one trajectory (state rows) for qualitative inspection (Fig. 1/2
 /// style renderings become CSVs here).

@@ -36,8 +36,17 @@ ActionFn frozen_mean(const nn::GaussianPolicy& policy) {
 }
 
 std::vector<double> PolicyHandle::query(const std::vector<double>& obs) const {
-  if (qnet_) return qnet_->forward(obs);
-  return net_ ? net_->mean_action(obs) : fn_(obs);
+  if (!net_) return fn_(obs);
+  // One per thread, shared by every handle it queries: the transpose cache
+  // is keyed by network and weight version, so switching handles is safe.
+  thread_local struct {
+    nn::Mlp::Workspace ws;
+    nn::Batch x;
+  } one_row;
+  one_row.x.resize(1, obs.size());
+  one_row.x.set_row(0, obs);
+  const nn::Batch& y = query_batch(one_row.x, one_row.ws);
+  return std::vector<double>(y.row(0), y.row(0) + y.dim());
 }
 
 const nn::Batch& PolicyHandle::query_batch(const nn::Batch& obs,

@@ -15,25 +15,25 @@ namespace imap::rl {
 ///
 ///  * an opaque ActionFn — the fully black-box case; answerable only one
 ///    observation at a time;
-///  * a snapshot of a GaussianPolicy network, which additionally supports
-///    batched mean queries through a caller-owned workspace (query_batch),
-///    letting the vectorized rollout engine answer all lockstep slots with
-///    one kernel call.
+///  * a snapshot of a GaussianPolicy network, which additionally answers
+///    batched mean queries through a caller-owned workspace (query_batch) —
+///    the serving daemon's coalesced path.
 ///
 /// Both implicit constructors are intentional: every pre-existing ActionFn
-/// call site keeps compiling, and network-backed handles upgrade those sites
-/// to batchable victims with no signature churn. Per-sample query() is
-/// bit-identical between the two shapes when the ActionFn wraps the same
-/// network's mean_action.
+/// call site keeps compiling, and network-backed handles need no signature
+/// churn. A network-backed handle answers query(obs) as row 0 of
+/// query_batch on a thread_local one-row batch and workspace, so the one
+/// per-step victim query of a rollout runs the batched kernels on cached
+/// weight transposes, and is bit-identical to the network's mean_action
+/// (Mlp::forward) — hence to an ActionFn wrapping it. One handle may be
+/// queried from any number of threads at once.
 ///
 /// Serving mode is fixed at construction: when victim quantization is on
 /// (IMAP_VICTIM_QUANT=1 or a ScopedVictimQuant scope, see nn/quant.h), a
 /// network-backed handle builds an int8 QuantizedMlp once and answers BOTH
-/// query() and query_batch() through it — keeping the per-sample and
-/// batched paths bit-identical to each other in either mode, which the
-/// VecEnv lockstep-vs-serial invariants rely on. Training-side code never
-/// constructs handles under the toggle, so attacker/defender updates stay
-/// fp64 bit-exact.
+/// query() and query_batch() through it, so the int8 and fp64 modes share
+/// the one code path. Training-side code never constructs handles under the
+/// toggle, so attacker/defender updates stay fp64 bit-exact.
 class PolicyHandle {
  public:
   PolicyHandle() = default;
@@ -60,11 +60,6 @@ class PolicyHandle {
   /// True when the handle exposes a network and so supports query_batch.
   bool batched() const { return net_ != nullptr; }
 
-  /// The backing network, or nullptr for opaque-function handles. Used to
-  /// verify that every slot of a VecEnv queries the SAME frozen victim
-  /// before merging their queries into one batch.
-  const nn::GaussianPolicy* net() const { return net_.get(); }
-
   /// True when this handle serves through the int8 quantized path.
   bool quantized() const { return qnet_ != nullptr; }
 
@@ -75,7 +70,8 @@ class PolicyHandle {
   std::size_t act_dim() const { return net_ ? net_->act_dim() : 0; }
 
   /// Per-sample query (the deterministic mean for network-backed handles;
-  /// the quantized mean when the handle was built under the quant toggle).
+  /// the quantized mean when the handle was built under the quant toggle):
+  /// row 0 of query_batch on a thread_local one-row batch.
   std::vector<double> query(const std::vector<double>& obs) const;
   std::vector<double> operator()(const std::vector<double>& obs) const {
     return query(obs);

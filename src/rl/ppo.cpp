@@ -31,7 +31,6 @@ PpoTrainer::PpoTrainer(const Env& proto, PpoOptions opts, Rng rng)
   IMAP_CHECK(opts_.steps_per_iter > 0);
   IMAP_CHECK(opts_.minibatch > 0);
   IMAP_CHECK(opts_.num_workers >= 1);
-  IMAP_CHECK(opts_.envs_per_worker >= 1);
   IMAP_CHECK(opts_.grad_shards >= 0);
 }
 
@@ -39,70 +38,52 @@ void PpoTrainer::set_env(const Env& proto) {
   IMAP_CHECK(proto.obs_dim() == env_->obs_dim());
   IMAP_CHECK(proto.act_dim() == env_->act_dim());
   env_ = proto.clone();
-  for (auto& w : workers_) w.set_env(proto);
+  for (auto& s : slots_) s.set_env(proto);
 }
 
-void PpoTrainer::ensure_workers() {
+void PpoTrainer::ensure_slots() {
   const auto k = static_cast<std::size_t>(opts_.num_workers);
-  const auto e = static_cast<std::size_t>(opts_.envs_per_worker);
-  if (workers_.size() == k && workers_[0].size() == e) return;
-  workers_.clear();
-  workers_.resize(k);
-  std::vector<Rng> streams(e);
-  for (std::size_t w = 0; w < k; ++w) {
-    // Global slot g = w·E + i draws child stream g of the trainer seed —
-    // the trace depends only on the global slot index (so any K × E
-    // factorization of the same total merges bit-identically), never on
-    // the thread count.
-    for (std::size_t i = 0; i < e; ++i)
-      streams[i] = rng_.split(0x6b1dc0deULL +
-                              static_cast<std::uint64_t>(w * e + i));
-    workers_[w].configure(*env_, streams);
-  }
-}
-
-bool PpoTrainer::one_slot() const {
-  return opts_.num_workers * opts_.envs_per_worker == 1;
+  if (slots_.size() == k) return;
+  slots_.clear();
+  slots_.reserve(k);
+  // Slot g draws child stream g of the trainer seed — the trace depends
+  // only on the slot index, never on the thread count.
+  for (std::size_t g = 0; g < k; ++g)
+    slots_.emplace_back(
+        *env_, rng_.split(0x6b1dc0deULL + static_cast<std::uint64_t>(g)));
 }
 
 void PpoTrainer::collect(RolloutBuffer& buf) {
-  const int total = opts_.num_workers * opts_.envs_per_worker;
-  ensure_workers();
-  // Per-global-slot budgets: steps/N each, remainder to the FIRST slots —
-  // non-increasing, so every worker's live slots form a prefix.
-  slot_budgets_.assign(static_cast<std::size_t>(total),
-                       opts_.steps_per_iter / total);
-  for (int g = 0; g < opts_.steps_per_iter % total; ++g) ++slot_budgets_[g];
+  const int k = opts_.num_workers;
+  const int steps = opts_.steps_per_iter;
+  ensure_slots();
 
-  // K·E = 1: the one slot borrows the trainer's stream for the collect and
+  // K = 1: the one slot borrows the trainer's stream for the collect and
   // hands it back, so collection and the update's shuffles draw from one
   // sequential stream (Rng::split is pure, so the child stream the slot was
-  // configured with never advanced the trainer's).
-  if (one_slot()) workers_[0].slot(0).rng = rng_;
-  // Workers touch disjoint state (own slots: env, rng, buffer) and their
-  // own batching scratch; the policy and value nets are read-only during
-  // sampling (caller-owned workspaces, see VecEnv).
-  const auto e = static_cast<std::size_t>(opts_.envs_per_worker);
+  // built with never advanced the trainer's).
+  if (one_slot()) slots_[0].rng = rng_;
+  // Slots touch disjoint state (own env, rng, buffer and workspaces); the
+  // policy and value nets are read-only during sampling. Budgets: steps/K
+  // each, the remainder to the first slots.
   parallel_for(
-      workers_.size(),
-      [&](std::size_t w) {
-        workers_[w].collect(*policy_, *value_e_, *value_i_, slot_budgets_,
-                            w * e);
+      slots_.size(),
+      [&](std::size_t g) {
+        const int budget = steps / k + (static_cast<int>(g) < steps % k);
+        slots_[g].collect(*policy_, *value_e_, *value_i_, budget);
       },
       /*grain=*/1);
-  if (one_slot()) rng_ = workers_[0].slot(0).rng;
+  if (one_slot()) rng_ = slots_[0].rng;
 
   buf.clear();
-  buf.reserve(static_cast<std::size_t>(opts_.steps_per_iter));
+  buf.reserve(static_cast<std::size_t>(steps));
   buf.reserve_step(env_->obs_dim(), env_->act_dim());
   ep_successes_ = 0;
-  for (auto& w : workers_) {
-    for (std::size_t i = 0; i < w.size(); ++i) {
-      buf.append(w.slot(i).buf);
-      ep_successes_ += w.slot(i).ep_successes;
-    }
+  for (const auto& s : slots_) {
+    buf.append(s.buf);
+    ep_successes_ += s.ep_successes;
   }
-  steps_done_ += opts_.steps_per_iter;
+  steps_done_ += steps;
 }
 
 int PpoTrainer::shard_count() const {
@@ -414,7 +395,7 @@ void PpoTrainer::save_state(ArchiveWriter& a) const {
   meta.write_u64(value_e_->n_params());
   meta.write_u64(value_i_->n_params());
   meta.write_i64(opts_.num_workers);
-  meta.write_i64(opts_.envs_per_worker);
+  meta.write_i64(1);  // slots per worker: a layout field, always 1
   meta.write_i64(opts_.steps_per_iter);
   meta.write_i64(opts_.minibatch);
   meta.write_i64(opts_.epochs);
@@ -435,19 +416,24 @@ void PpoTrainer::save_state(ArchiveWriter& a) const {
   loop.write_i64(steps_done_);
   loop.write_i64(iter_);
 
-  // Worker slots only exist once a collect has run; an un-built fleet is
-  // rebuilt deterministically from the restored Rng seed instead, and its
-  // episode is a fresh slot's.
+  // Slots only exist once a collect has run; an un-built set is rebuilt
+  // deterministically from the restored Rng seed instead, and its episode
+  // is a fresh slot's. Each ppo/workers entry keeps the historical
+  // per-worker slot count, always 1.
   auto& ep = a.section("ppo/episode");
-  if (one_slot() && !workers_.empty()) {
-    workers_[0].slot(0).save_episode(ep);
+  if (one_slot() && !slots_.empty()) {
+    slots_[0].save_episode(ep);
   } else {
     EnvSlot{}.save_episode(ep);
   }
-  if (!one_slot() && !workers_.empty()) {
+  if (!one_slot() && !slots_.empty()) {
     auto& ws = a.section("ppo/workers");
-    ws.write_u64(workers_.size());
-    for (const auto& w : workers_) w.save_state(ws);
+    ws.write_u64(slots_.size());
+    for (const auto& s : slots_) {
+      ws.write_u64(1);
+      s.rng.save_state(ws);
+      s.save_episode(ws);
+    }
   }
 }
 
@@ -461,7 +447,7 @@ void PpoTrainer::load_state(const ArchiveReader& a) {
                      meta.read_u64() == value_i_->n_params(),
                  "PPO checkpoint has a different network architecture");
   IMAP_CHECK_MSG(meta.read_i64() == opts_.num_workers &&
-                     meta.read_i64() == opts_.envs_per_worker &&
+                     meta.read_i64() == 1 &&
                      meta.read_i64() == opts_.steps_per_iter &&
                      meta.read_i64() == opts_.minibatch &&
                      meta.read_i64() == opts_.epochs,
@@ -485,17 +471,22 @@ void PpoTrainer::load_state(const ArchiveReader& a) {
   iter_ = static_cast<int>(loop.read_i64());
 
   if (one_slot()) {
-    ensure_workers();
+    ensure_slots();
     auto ep = a.section("ppo/episode");
-    workers_[0].slot(0).load_episode(ep);
+    slots_[0].load_episode(ep);
   } else if (a.has("ppo/workers")) {
-    ensure_workers();
+    ensure_slots();
     auto ws = a.section("ppo/workers");
-    IMAP_CHECK_MSG(ws.read_u64() == workers_.size(),
+    IMAP_CHECK_MSG(ws.read_u64() == slots_.size(),
                    "checkpoint has wrong rollout-worker count");
-    for (auto& w : workers_) w.load_state(ws);
+    for (auto& s : slots_) {
+      IMAP_CHECK_MSG(ws.read_u64() == 1,
+                     "checkpoint has wrong rollout-slot count");
+      s.rng.load_state(ws);
+      s.load_episode(ws);
+    }
   } else {
-    workers_.clear();
+    slots_.clear();
   }
 }
 

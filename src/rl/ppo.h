@@ -9,9 +9,9 @@
 #include "nn/adam.h"
 #include "nn/gaussian.h"
 #include "rl/env.h"
+#include "rl/env_slot.h"
 #include "rl/gae.h"
 #include "rl/rollout.h"
-#include "rl/vec_env.h"
 
 namespace imap::rl {
 
@@ -30,19 +30,14 @@ struct PpoOptions {
   double max_grad_norm = 0.5;
   double target_kl = 0.05;  ///< early-stop the update epochs past this KL
 
-  /// K parallel rollout workers, each a VecEnv with its own env clones, Rng
-  /// streams and rollout buffers, merged in worker-index order. K fixes the
-  /// numeric trace; the thread count does not.
+  /// K rollout slots (rl::EnvSlot), each with its own env clone, Rng stream
+  /// and rollout buffer, run across the thread pool and merged in slot
+  /// order. Slot g draws from the trainer-seed child stream g and runs
+  /// steps_per_iter/K steps, the remainder going to the first slots. K
+  /// fixes the numeric trace; the thread count does not. K = 1 is one slot
+  /// that borrows the trainer's own stream, so collection and the update's
+  /// minibatch shuffles draw from one sequential stream.
   int num_workers = 1;
-  /// E lockstep environment slots per worker (one batched policy / value /
-  /// victim forward per tick across a worker's E slots). Global slot
-  /// g = w·E + i draws from the trainer-seed child stream g and the merged
-  /// rollout is concatenated in global slot order, so the trace depends
-  /// only on the TOTAL slot count K·E — any (workers × slots) factorization
-  /// of the same total is bit-identical. K·E = 1 is one slot that borrows
-  /// the trainer's own stream, so collection and the update's minibatch
-  /// shuffles draw from one sequential stream.
-  int envs_per_worker = 1;
   /// Gradient-accumulation shards per minibatch: each shard back-propagates
   /// a fixed contiguous slice of the batch into its own gradient buffer and
   /// the shard buffers are reduced in a fixed tree order, so the result is
@@ -124,9 +119,9 @@ class PpoTrainer {
   /// Full training-state snapshot: nets, Adam moments, Rng streams, loop
   /// counters and mid-episode state (in-flight episodes are reconstructed on
   /// restore by replaying their action history into fresh env clones). At
-  /// K·E = 1 the one slot's episode is the `ppo/episode` section; at
-  /// K·E > 1 the slots are `ppo/workers` and `ppo/episode` holds a fresh
-  /// slot's defaults.
+  /// K = 1 the one slot's episode is the `ppo/episode` section; at K > 1
+  /// the slots are `ppo/workers` and `ppo/episode` holds a fresh slot's
+  /// defaults.
   /// Restoring into a trainer built with the same prototype, options and
   /// seed resumes training bit-identically to never having stopped.
   void save_state(ArchiveWriter& a) const;
@@ -169,8 +164,8 @@ class PpoTrainer {
     UpdateScratch scratch;
   };
 
-  bool one_slot() const;  ///< K·E = 1: the slot borrows rng_
-  void ensure_workers();
+  bool one_slot() const { return opts_.num_workers == 1; }  ///< borrows rng_
+  void ensure_slots();
   int shard_count() const;
   void ensure_shards(int n_shards);
 
@@ -198,8 +193,7 @@ class PpoTrainer {
   IntrinsicHook intrinsic_;
   RegularizerHook reg_;
 
-  std::vector<VecEnv> workers_;          ///< rollout workers (lazy)
-  std::vector<int> slot_budgets_;        ///< per-global-slot step budgets
+  std::vector<EnvSlot> slots_;           ///< rollout slots (lazy)
   std::vector<ShardScratch> shards_;     ///< gradient shards (lazy)
   RolloutBuffer rollout_;                ///< reused across iterations
 

@@ -66,7 +66,7 @@ void RolloutBuffer::add(const double* o, std::size_t no, const double* a,
 }
 
 void RolloutBuffer::append(const RolloutBuffer& other) {
-  // Reserve the destination once per source: merging K·E slot buffers then
+  // Reserve the destination once per source: merging K slot buffers then
   // proceeds without a single mid-append reallocation.
   reserve(n_ + other.size());
   last_val_e.reserve(last_val_e.size() + other.last_val_e.size());

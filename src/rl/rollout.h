@@ -51,8 +51,8 @@ struct RolloutBuffer {
   void add(const std::vector<double>& o, const std::vector<double>& a,
            double lp, double re, double ve);
 
-  /// Pointer-core of add() — the vectorized collector stores actions as rows
-  /// of a Batch, so this avoids materialising a per-step std::vector.
+  /// Pointer-core of add() — the rollout slot passes its observation and
+  /// action buffers directly.
   void add(const double* o, std::size_t no, const double* a, std::size_t na,
            double lp, double re, double ve);
 

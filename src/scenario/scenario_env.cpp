@@ -50,15 +50,14 @@ ScenarioEnv::ScenarioEnv(const ScenarioEnv& other)
       act_space_(other.act_space_),
       dynamics_(other.dynamics_),
       budget_scale_(other.budget_scale_),
-      cur_obs_(other.cur_obs_),
-      pending_ctrl_(other.pending_ctrl_) {}
+      cur_obs_(other.cur_obs_) {}
 
 void ScenarioEnv::apply_dr(Rng& rng) {
   if (spec_.dr.empty()) return;
   // ONE slot-Rng draw per reset, whatever the dr ranges — the factor stream
   // is a child keyed by (that draw XOR the mixed family seed), so the same
   // spec@seed draws the same family at the same slot-stream position on any
-  // workers×slots×procs factorization.
+  // slots×procs factorization.
   const std::uint64_t u = rng.next_u64();
   Rng dr_rng(spec_.has_seed ? (u ^ mix(spec_.seed)) : u);
   dynamics_ = rl::DynamicsScales{};
@@ -88,20 +87,14 @@ std::vector<double> ScenarioEnv::reset(Rng& rng) {
   return cur_obs_;
 }
 
-const std::vector<double>& ScenarioEnv::begin_step(
-    const std::vector<double>& action) {
+rl::StepResult ScenarioEnv::step(const std::vector<double>& action) {
   IMAP_CHECK(action.size() == act_dim());
-  pending_ctrl_ = act_space_.clamp(action);
+  const auto ctrl = act_space_.clamp(action);
   perturbed_ = cur_obs_;
-  pipeline_.perturb_obs(perturbed_, pending_ctrl_);
-  return perturbed_;
-}
-
-rl::StepResult ScenarioEnv::finish_step(
-    const std::vector<double>& policy_out) {
-  auto victim_action = inner_->action_space().clamp(policy_out);
+  pipeline_.perturb_obs(perturbed_, ctrl);
+  auto victim_action = inner_->action_space().clamp(victim_.query(perturbed_));
   if (pipeline_.has_act_perturb()) {
-    pipeline_.perturb_act(victim_action, pending_ctrl_);
+    pipeline_.perturb_act(victim_action, ctrl);
     victim_action = inner_->action_space().clamp(std::move(victim_action));
   }
   rl::StepResult sr = inner_->step(victim_action);
@@ -114,10 +107,6 @@ rl::StepResult ScenarioEnv::finish_step(
     sr.reward = -sr.reward;  // the original SA-RL's relaxed objective
   // VictimTrue keeps the inner reward untouched.
   return sr;
-}
-
-rl::StepResult ScenarioEnv::step(const std::vector<double>& action) {
-  return finish_step(victim_.query(begin_step(action)));
 }
 
 std::unique_ptr<ScenarioEnv> make_scenario_env(const ScenarioSpec& spec,

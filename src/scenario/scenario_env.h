@@ -4,7 +4,6 @@
 
 #include "rl/env.h"
 #include "rl/policy_handle.h"
-#include "rl/split_step.h"
 #include "scenario/channels.h"
 #include "scenario/spec.h"
 
@@ -21,12 +20,12 @@ namespace imap::scenario {
 enum class RewardMode { Adversary, VictimTrue, AdversaryRelaxed };
 
 /// One scenario instance: the base environment wrapped in the full
-/// perturbation-channel pipeline plus per-reset domain randomization, hosted
-/// behind the rl::SplitStepEnv contract — so the vectorized rollout engine
-/// answers every lockstep slot's victim query with ONE batched forward per
-/// tick, whatever the channel stack. With `obs_perturb` alone this is the
-/// paper's single-agent threat model (Sec. 4.3): the frozen victim acts on
-/// s + ε·a^α, ‖a^α‖∞ ≤ 1 (attack::StatePerturbationEnv names that case).
+/// perturbation-channel pipeline plus per-reset domain randomization. Each
+/// step() perturbs the observation, asks the frozen victim for its action
+/// (one PolicyHandle::query), perturbs that action and steps the inner env.
+/// With `obs_perturb` alone this is the paper's single-agent threat model
+/// (Sec. 4.3): the frozen victim acts on s + ε·a^α, ‖a^α‖∞ ≤ 1
+/// (attack::StatePerturbationEnv names that case).
 ///
 /// As an rl::Env the *agent* is the adversary; its action is the
 /// concatenation of the controlled channels' slices (see ChannelPipeline).
@@ -39,9 +38,9 @@ enum class RewardMode { Adversary, VictimTrue, AdversaryRelaxed };
 /// (2) the inner env's own reset draws, then (3) one reseed u64 per
 /// stochastic channel present. Everything downstream is a pure function of
 /// those draws and the action sequence, so randomized rollouts are
-/// bit-identical across any workers×slots×procs factorization and episodes
+/// bit-identical across any slots×procs factorization and episodes
 /// replay exactly from their pre-reset Rng state (snapshot restore).
-class ScenarioEnv : public rl::EnvBase<ScenarioEnv>, public rl::SplitStepEnv {
+class ScenarioEnv : public rl::EnvBase<ScenarioEnv> {
  public:
   /// Build the registry env `spec.env` and wrap it.
   ScenarioEnv(const ScenarioSpec& spec, rl::PolicyHandle victim,
@@ -61,13 +60,6 @@ class ScenarioEnv : public rl::EnvBase<ScenarioEnv>, public rl::SplitStepEnv {
 
   std::vector<double> reset(Rng& rng) override;
   rl::StepResult step(const std::vector<double>& action) override;
-
-  // SplitStepEnv: step(a) == finish_step(victim.query(begin_step(a))).
-  const std::vector<double>& begin_step(
-      const std::vector<double>& action) override;
-  rl::StepResult finish_step(const std::vector<double>& policy_out) override;
-  std::size_t query_dim() const override { return inner_->obs_dim(); }
-  const rl::PolicyHandle& frozen_policy() const override { return victim_; }
 
   const ScenarioSpec& spec() const { return spec_; }
   double epsilon() const { return spec_.epsilon(); }
@@ -89,8 +81,7 @@ class ScenarioEnv : public rl::EnvBase<ScenarioEnv>, public rl::SplitStepEnv {
   rl::DynamicsScales dynamics_;
   double budget_scale_ = 1.0;
   std::vector<double> cur_obs_;
-  std::vector<double> pending_ctrl_;  ///< clamped action, begin->finish
-  std::vector<double> perturbed_;     ///< begin_step scratch (reused)
+  std::vector<double> perturbed_;  ///< step() scratch (reused)
 };
 
 /// Build the attack/evaluation env for a scenario: RewardMode::Adversary for

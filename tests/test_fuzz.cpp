@@ -148,7 +148,7 @@ TEST(Fuzz, LogProbConsistentWithSampling) {
     const double h = (hi - lo) / steps;
     for (int i = 0; i < steps; ++i) {
       const double x = lo + (i + 0.5) * h;
-      integral += std::exp(nn::diag_gaussian::log_prob({x}, {mean}, {ls})) * h;
+      integral += std::exp(nn::diag_gaussian::log_prob(&x, &mean, &ls, 1)) * h;
     }
     EXPECT_NEAR(integral, 1.0, 1e-3);
   }

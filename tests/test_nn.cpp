@@ -9,7 +9,7 @@
 #include "nn/gaussian.h"
 #include "nn/mlp.h"
 #include "rl/env.h"
-#include "rl/vec_env.h"
+#include "rl/env_slot.h"
 
 namespace imap::nn {
 namespace {
@@ -103,12 +103,18 @@ TEST(Adam, ClipsGlobalNorm) {
   EXPECT_LT(std::abs(p[0]), 2.0);
 }
 
+/// log N(a | mean, exp(ls)²) over whole vectors, through the pointer core.
+double log_prob(const std::vector<double>& a, const std::vector<double>& mean,
+                const std::vector<double>& ls) {
+  return diag_gaussian::log_prob(a.data(), mean.data(), ls.data(), a.size());
+}
+
 TEST(DiagGaussian, LogProbMatchesClosedForm) {
   // 1-D standard normal at 0: log(1/sqrt(2π)).
-  EXPECT_NEAR(diag_gaussian::log_prob({0.0}, {0.0}, {0.0}),
-              -0.5 * std::log(2 * M_PI), 1e-12);
+  EXPECT_NEAR(log_prob({0.0}, {0.0}, {0.0}), -0.5 * std::log(2 * M_PI),
+              1e-12);
   // Scaling: N(0, e²) at x=e has logp = -0.5 - 1 - 0.5 ln 2π.
-  EXPECT_NEAR(diag_gaussian::log_prob({std::exp(1.0)}, {0.0}, {1.0}),
+  EXPECT_NEAR(log_prob({std::exp(1.0)}, {0.0}, {1.0}),
               -0.5 - 1.0 - 0.5 * std::log(2 * M_PI), 1e-12);
 }
 
@@ -144,17 +150,13 @@ TEST(DiagGaussian, LogProbGradientsMatchFiniteDifferences) {
     mp[i] += h;
     mm[i] -= h;
     EXPECT_NEAR(g[n_net - 2 + i],
-                (diag_gaussian::log_prob(a, mp, ls) -
-                 diag_gaussian::log_prob(a, mm, ls)) /
-                    (2 * h),
+                (log_prob(a, mp, ls) - log_prob(a, mm, ls)) / (2 * h),
                 1e-6);
     auto lp = ls, lm = ls;
     lp[i] += h;
     lm[i] -= h;
     EXPECT_NEAR(g[n_net + i],
-                (diag_gaussian::log_prob(a, mean, lp) -
-                 diag_gaussian::log_prob(a, mean, lm)) /
-                    (2 * h),
+                (log_prob(a, mean, lp) - log_prob(a, mean, lm)) / (2 * h),
                 1e-6);
   }
 }
@@ -189,10 +191,9 @@ TEST(GaussianPolicy, SampleStatisticsMatchParameters) {
   const auto obs = rng.normal_vec(3);
   const auto mu = pi.mean_action(obs);
   const int n = 20000;
-  rl::VecEnv vec;
-  vec.configure(ConstObsEnv(obs), {rng.split(1)});
-  vec.collect(pi, value, value, {n}, 0);
-  const auto& buf = vec.slot(0).buf;
+  rl::EnvSlot slot(ConstObsEnv(obs), rng.split(1));
+  slot.collect(pi, value, value, n);
+  const auto& buf = slot.buf;
   ASSERT_EQ(buf.size(), static_cast<std::size_t>(n));
   std::vector<double> acc(2, 0.0), acc2(2, 0.0);
   for (int i = 0; i < n; ++i) {
@@ -219,8 +220,8 @@ TEST(GaussianPolicy, BackwardLogpMatchesFiniteDifferences) {
   pi.backward_logp_batch(row_batch(act), {1.0});
   const auto analytic = pi.flat_grads();
 
-  const auto log_prob = [&] {
-    return diag_gaussian::log_prob(act, pi.mean_action(obs), pi.log_std());
+  const auto logp = [&] {
+    return log_prob(act, pi.mean_action(obs), pi.log_std());
   };
   auto params = pi.flat_params();
   const double h = 1e-6;
@@ -228,10 +229,10 @@ TEST(GaussianPolicy, BackwardLogpMatchesFiniteDifferences) {
     auto p = params;
     p[i] += h;
     pi.set_flat_params(p);
-    const double lp = log_prob();
+    const double lp = logp();
     p[i] = params[i] - h;
     pi.set_flat_params(p);
-    const double lm = log_prob();
+    const double lm = logp();
     pi.set_flat_params(params);
     EXPECT_NEAR(analytic[i], (lp - lm) / (2 * h), 1e-4) << "param " << i;
   }

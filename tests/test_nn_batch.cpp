@@ -210,22 +210,6 @@ TEST(MlpBatch, BackwardMatchesFiniteDifferences) {
   }
 }
 
-TEST(GaussianPolicyBatch, LogProbBatchMatchesPerSample) {
-  Rng rng(31);
-  GaussianPolicy pol(6, 3, {16, 16}, rng);
-  const std::size_t bs = 9;
-  const Batch obs = random_batch(bs, 6, rng);
-  const Batch act = random_batch(bs, 3, rng);
-
-  std::vector<double> lp;
-  pol.log_prob_batch(obs, act, lp);
-  ASSERT_EQ(lp.size(), bs);
-  for (std::size_t r = 0; r < bs; ++r)
-    EXPECT_EQ(lp[r], diag_gaussian::log_prob(
-                         row_vec(act, r), pol.mean_action(row_vec(obs, r)),
-                         pol.log_std()));
-}
-
 TEST(GaussianPolicyBatch, BackwardLogpBatchMatchesPerSampleBitwise) {
   Rng rng(37);
   GaussianPolicy batched(6, 3, {16, 16}, rng);

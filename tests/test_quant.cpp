@@ -1,9 +1,8 @@
 // QuantizedMlp + victim-quant serving path (nn/quant.h): accuracy is
 // tolerance-pinned against the fp64 network, the quantized forward is
 // bit-identical across batch sizes and kernel backends, staleness tracking
-// follows the Mlp weight version, and PolicyHandle routes BOTH query() and
-// query_batch() through the same quantized network so the lockstep-vs-serial
-// invariants of the rollout engine survive quant mode.
+// follows the Mlp weight version, and PolicyHandle answers query() as row 0
+// of query_batch in both fp64 and int8 modes, from any number of threads.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +11,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "nn/batch.h"
 #include "nn/gaussian.h"
 #include "nn/kernel_backend.h"
@@ -21,7 +21,10 @@
 
 namespace {
 
+using imap::parallel_for;
 using imap::Rng;
+using imap::ScopedPool;
+using imap::ThreadPool;
 using imap::nn::Batch;
 using imap::nn::GaussianPolicy;
 using imap::nn::Mlp;
@@ -66,11 +69,13 @@ TEST(QuantizedMlp, BatchedRowsMatchSingleSampleBitwise) {
   Mlp::Workspace ws;
   const Batch obs = random_batch(17, 11, rng);
   const Batch& batched = qnet.forward_batch(obs, ws);
+  Mlp::Workspace one_ws;
+  Batch one(1, obs.dim());
   for (std::size_t r = 0; r < obs.rows(); ++r) {
-    std::vector<double> row(obs.row(r), obs.row(r) + obs.dim());
-    const auto single = qnet.forward(row);
+    one.set_row(0, std::vector<double>(obs.row(r), obs.row(r) + obs.dim()));
+    const Batch& single = qnet.forward_batch(one, one_ws);
     for (std::size_t c = 0; c < qnet.out_dim(); ++c)
-      ASSERT_EQ(single[c], batched(r, c)) << "row " << r << " dim " << c;
+      ASSERT_EQ(single(0, c), batched(r, c)) << "row " << r << " dim " << c;
   }
 }
 
@@ -188,6 +193,84 @@ TEST(VictimQuant, SnapshotRespectsToggle) {
   PolicyHandle handle = PolicyHandle::snapshot(policy);
   EXPECT_TRUE(handle.quantized());
   EXPECT_TRUE(handle.batched());
+}
+
+/// query(row r) of `handle` must equal row r of query_batch, bit for bit.
+void expect_query_is_batch_row(const PolicyHandle& handle, const Batch& obs) {
+  Mlp::Workspace ws;
+  const Batch& batched = handle.query_batch(obs, ws);
+  for (std::size_t r = 0; r < obs.rows(); ++r) {
+    const auto single = handle.query(
+        std::vector<double>(obs.row(r), obs.row(r) + obs.dim()));
+    ASSERT_EQ(single.size(), batched.dim());
+    for (std::size_t c = 0; c < single.size(); ++c)
+      ASSERT_EQ(single[c], batched(r, c)) << "row " << r << " dim " << c;
+  }
+}
+
+TEST(PolicyHandle, QueryIsRowZeroOfQueryBatchInFp64) {
+  Rng rng(139);
+  auto policy = std::make_shared<const GaussianPolicy>(
+      11, 3, std::vector<std::size_t>{64, 64}, rng);
+  const PolicyHandle handle(policy);
+  ASSERT_FALSE(handle.quantized());
+  const Batch obs = random_batch(13, 11, rng);
+  expect_query_is_batch_row(handle, obs);
+  // ...and so equal to the per-row Mlp::forward an ActionFn would call.
+  for (std::size_t r = 0; r < obs.rows(); ++r) {
+    const std::vector<double> row(obs.row(r), obs.row(r) + obs.dim());
+    EXPECT_EQ(handle.query(row), policy->mean_action(row)) << "row " << r;
+  }
+}
+
+TEST(PolicyHandle, QueryIsRowZeroOfQueryBatchInInt8) {
+  Rng rng(149);
+  auto policy = std::make_shared<const GaussianPolicy>(
+      11, 3, std::vector<std::size_t>{64, 64}, rng);
+  const PolicyHandle handle = PolicyHandle::serving(policy, /*quantized=*/true);
+  ASSERT_TRUE(handle.quantized());
+  expect_query_is_batch_row(handle, random_batch(13, 11, rng));
+}
+
+TEST(PolicyHandle, SharedHandlesAnswerFourThreadsBitwise) {
+  // Four pool threads query the same fp64 and int8 handles, interleaving
+  // two different networks so each thread's one-row workspace keeps
+  // switching owners; every answer must equal the serial query_batch row.
+  Rng rng(151);
+  auto net_a = std::make_shared<const GaussianPolicy>(
+      11, 3, std::vector<std::size_t>{64, 64}, rng);
+  auto net_b = std::make_shared<const GaussianPolicy>(
+      11, 3, std::vector<std::size_t>{32, 32}, rng);
+  const std::vector<PolicyHandle> handles{
+      PolicyHandle(net_a), PolicyHandle(net_b),
+      PolicyHandle::serving(net_a, /*quantized=*/true)};
+  const Batch obs = random_batch(32, 11, rng);
+  std::vector<Batch> want;
+  for (const auto& h : handles) {
+    Mlp::Workspace ws;
+    want.push_back(h.query_batch(obs, ws));
+  }
+
+  // 16 tasks on a 4-thread pool: every pool thread serves several tasks.
+  constexpr std::size_t kTasks = 16;
+  std::vector<int> mismatches(kTasks, 0);
+  ThreadPool pool(4);
+  ScopedPool scope(pool);
+  parallel_for(
+      kTasks,
+      [&](std::size_t t) {
+        for (std::size_t r = 0; r < obs.rows(); ++r)
+          for (std::size_t h = 0; h < handles.size(); ++h) {
+            const std::size_t row = (r + t) % obs.rows();
+            const auto got = handles[h].query(std::vector<double>(
+                obs.row(row), obs.row(row) + obs.dim()));
+            for (std::size_t c = 0; c < got.size(); ++c)
+              if (got[c] != want[h](row, c)) ++mismatches[t];
+          }
+      },
+      /*grain=*/1);
+  for (std::size_t t = 0; t < kTasks; ++t)
+    EXPECT_EQ(mismatches[t], 0) << "task " << t;
 }
 
 }  // namespace

@@ -192,37 +192,6 @@ TEST(Evaluate, CountsSuccessesAndLengths) {
   EXPECT_GT(stats.returns.mean, -30.0);
 }
 
-// evaluate_batched's contract: episode e equals — exactly — a one-episode
-// serial evaluate() run on the child stream rng.split(e).
-TEST(Evaluate, BatchedMatchesPerEpisodeSerialExactly) {
-  LineEnv env;
-  Rng rng_train(5);
-  nn::GaussianPolicy policy(env.obs_dim(), env.act_dim(), {8, 8}, rng_train);
-
-  constexpr int kEpisodes = 6;
-  Rng rng_batched(21);
-  const auto batched = evaluate_batched(env, policy, kEpisodes, rng_batched);
-  ASSERT_EQ(batched.episode_returns.size(), static_cast<std::size_t>(kEpisodes));
-
-  Rng rng_serial(21);
-  long long total_len = 0;
-  for (int e = 0; e < kEpisodes; ++e) {
-    Rng er = rng_serial.split(static_cast<std::uint64_t>(e));
-    const auto serial = evaluate(
-        env,
-        [&policy](const std::vector<double>& o) {
-          return policy.mean_action(o);
-        },
-        1, er);
-    EXPECT_EQ(batched.episode_returns[static_cast<std::size_t>(e)],
-              serial.episode_returns[0])
-        << "episode " << e;
-    total_len += static_cast<long long>(serial.mean_length);
-  }
-  EXPECT_DOUBLE_EQ(batched.mean_length,
-                   static_cast<double>(total_len) / kEpisodes);
-}
-
 TEST(Evaluate, TrajectoryEndsAtBoundary) {
   LineEnv env;
   Rng rng(3);

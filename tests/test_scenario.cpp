@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <vector>
 
 #include "attack/threat_model.h"
@@ -10,6 +11,8 @@
 #include "digest.h"
 #include "env/hopper.h"
 #include "env/registry.h"
+#include "nn/gaussian.h"
+#include "rl/policy_handle.h"
 #include "scenario/channels.h"
 #include "scenario/scenario_env.h"
 #include "scenario/spec.h"
@@ -189,33 +192,29 @@ TEST(ScenarioEnv, ObsPerturbOnlyMatchesPinnedLegacyTrajectory) {
   EXPECT_EQ(imap::testing::digest(t2), kLegacyDigest);
 }
 
-// The SplitStepEnv contract, bitwise, for the FULL channel stack: step(a)
-// must equal finish_step(victim.query(begin_step(a))) on a twin env.
-TEST(ScenarioEnv, SplitStepContractHoldsForAllChannels) {
+// The full channel stack gives the same trace whether the victim is an
+// opaque ActionFn over a network's mean action (per-row Mlp::forward) or a
+// handle on that network (one-row batched query): bitwise, every step.
+TEST(ScenarioEnv, OpaqueVictimMatchesNetworkHandleOnAllChannels) {
   const auto spec = parse(
       "hopper+obs_perturb:0.1+act_perturb:0.05+obs_delay:2+obs_dropout:0.3"
       "+obs_noise:0.05+budget:0.5+dr[gain:0.9..1.1,mass:0.8..1.2]@3");
-  ScenarioEnv a(spec, feedback_victim(), attack::RewardMode::Adversary);
-  ScenarioEnv b(spec, feedback_victim(), attack::RewardMode::Adversary);
-  EXPECT_EQ(a.act_dim(), a.obs_dim() + env::make_hopper()->act_dim());
-
-  Rng r1(33), r2(33), act_rng(7);
-  for (int ep = 0; ep < 2; ++ep) {
-    const auto o1 = a.reset(r1);
-    const auto o2 = b.reset(r2);
-    ASSERT_EQ(o1, o2);
-    for (int t = 0; t < 60; ++t) {
-      std::vector<double> act(a.act_dim());
-      for (auto& x : act) x = act_rng.uniform(-1.5, 1.5);
-      const auto s1 = a.step(act);
-      const auto s2 = b.finish_step(b.frozen_policy().query(b.begin_step(act)));
-      ASSERT_EQ(s1.obs, s2.obs);
-      ASSERT_EQ(s1.reward, s2.reward);
-      ASSERT_EQ(s1.surrogate, s2.surrogate);
-      ASSERT_EQ(s1.done, s2.done);
-      if (s1.done || s1.truncated) break;
-    }
-  }
+  const auto inner = env::make_hopper();
+  Rng victim_rng(33);
+  auto victim = std::make_shared<const nn::GaussianPolicy>(
+      inner->obs_dim(), inner->act_dim(), std::vector<std::size_t>{16, 16},
+      victim_rng);
+  ScenarioEnv net(spec, rl::PolicyHandle(victim),
+                  attack::RewardMode::Adversary);
+  ScenarioEnv opaque(spec,
+                     rl::ActionFn([victim](const std::vector<double>& o) {
+                       return victim->mean_action(o);
+                     }),
+                     attack::RewardMode::Adversary);
+  EXPECT_EQ(net.act_dim(), net.obs_dim() + inner->act_dim());
+  const auto t_net = trajectory(net);
+  EXPECT_GT(t_net.size(), 100u);
+  EXPECT_EQ(t_net, trajectory(opaque));
 }
 
 TEST(ScenarioEnv, SeededDrFamiliesAreDeterministicAndDistinct) {
@@ -250,29 +249,35 @@ TEST(ScenarioEnv, BudgetDepletesThenSilencesThePerturbation) {
   // ε = 0.075 per step against a 0.1 per-episode pool: the first step costs
   // the full ε, the second gets the 0.025 remainder, the third is free-of-
   // charge zero perturbation (the victim sees the true state).
+  auto seen = std::make_shared<std::vector<std::vector<double>>>();
+  const auto inner_victim = feedback_victim();
   ScenarioEnv env(parse("hopper+obs_perturb:0.075+budget:0.1"),
-                  feedback_victim(), attack::RewardMode::Adversary);
+                  rl::ActionFn([seen, inner_victim](
+                                   const std::vector<double>& obs) {
+                    seen->push_back(obs);
+                    return inner_victim(obs);
+                  }),
+                  attack::RewardMode::Adversary);
   Rng rng(3);
-  env.reset(rng);
+  const auto obs0 = env.reset(rng);
   EXPECT_DOUBLE_EQ(env.budget_remaining(), 0.1);
   const std::vector<double> ones(env.act_dim(), 1.0);
 
-  const auto& v1 = env.begin_step(ones);
-  std::vector<double> seen1 = v1;
-  env.finish_step(env.frozen_policy().query(seen1));
+  env.step(ones);
   EXPECT_DOUBLE_EQ(env.budget_remaining(), 0.025);
+  ASSERT_EQ(seen->size(), 1u);
+  EXPECT_NE(seen->back(), obs0);  // the victim saw a perturbed view
 
-  const auto cur2 = std::vector<double>(env.begin_step(ones));
-  env.finish_step(env.frozen_policy().query(cur2));
+  env.step(ones);
   EXPECT_DOUBLE_EQ(env.budget_remaining(), 0.0);
 
-  // Pool empty: begin_step's perturbed view IS the true observation.
+  // Pool empty: the victim's view IS the true observation.
   const auto sr_pre = env.step(ones);
   EXPECT_DOUBLE_EQ(env.budget_remaining(), 0.0);
-  const auto& v4 = env.begin_step(ones);
-  ASSERT_EQ(v4.size(), sr_pre.obs.size());
-  EXPECT_EQ(v4, sr_pre.obs);
-  env.finish_step(env.frozen_policy().query(v4));
+  env.step(ones);
+  ASSERT_EQ(seen->size(), 4u);
+  ASSERT_EQ(seen->back().size(), sr_pre.obs.size());
+  EXPECT_EQ(seen->back(), sr_pre.obs);
 
   // Reset refills the pool.
   env.reset(rng);
@@ -294,7 +299,15 @@ TEST(ScenarioEnv, UncontrolledScenarioExposesDummyActionDim) {
 TEST(ScenarioEnv, ObsDelayDeliversStaleObservations) {
   // With an enormous ε-free delay-only scenario, the victim's view at step t
   // is the TRUE observation from step t-k; compare against an undelayed twin.
-  ScenarioEnv delayed(parse("hopper+obs_delay:2"), feedback_victim(),
+  // An open-loop victim (the feedback controller's constant term) acts the
+  // same on stale and fresh views, so the two trajectories stay identical.
+  const auto p = env::hopper_params();
+  std::vector<double> act(p.n_joints);
+  for (std::size_t j = 0; j < p.n_joints; ++j) act[j] = 0.3 * p.c[j];
+  ScenarioEnv delayed(parse("hopper+obs_delay:2"),
+                      rl::ActionFn([act](const std::vector<double>&) {
+                        return act;
+                      }),
                       attack::RewardMode::VictimTrue);
   const auto plain = env::make_hopper();
   Rng r1(17), r2(17);
@@ -302,15 +315,10 @@ TEST(ScenarioEnv, ObsDelayDeliversStaleObservations) {
   true_obs.push_back(plain->reset(r2));
   const auto d0 = delayed.reset(r1);
   EXPECT_EQ(d0, true_obs[0]);  // reset observation is always fresh
-  const auto victim = feedback_victim();
   for (int t = 0; t < 6; ++t) {
-    // Drive both with the same victim action computed from the TRUE state so
-    // the underlying trajectories stay identical.
-    const auto act = victim(true_obs.back());
     const auto sp = plain->step(plain->action_space().clamp(act));
     true_obs.push_back(sp.obs);
-    delayed.begin_step({0.0});
-    const auto sd = delayed.finish_step(act);
+    const auto sd = delayed.step({0.0});
     const std::size_t expect_idx =
         t + 1 >= 2 ? static_cast<std::size_t>(t - 1) : 0;
     EXPECT_EQ(sd.obs, true_obs[expect_idx]);

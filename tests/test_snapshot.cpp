@@ -107,8 +107,7 @@ TEST_F(SnapshotTest, PpoResumesSparseTaskBitIdentically) {
 
 TEST_F(SnapshotTest, PpoResumesVectorizedRolloutBitIdentically) {
   auto opts = tiny_ppo();
-  opts.num_workers = 2;
-  opts.envs_per_worker = 2;  // exercises per-slot episode state in "ppo/workers"
+  opts.num_workers = 4;  // exercises per-slot episode state in "ppo/workers"
   expect_ppo_resume_identical(*env::make_hopper(), opts,
                               /*total_iters=*/3, /*snap_at=*/2);
 }

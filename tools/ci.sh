@@ -1,12 +1,14 @@
 #!/usr/bin/env bash
 # ci.sh — the one-shot correctness gate: build -> static analysis -> tier-1
-# ctest -> ASan+UBSan trust-boundary suites -> end-to-end drills -> bench
-# smoke. Exits nonzero on the first failing stage. Also exposed as the `ci`
-# CMake target (`cmake --build build --target ci`).
+# ctest -> ASan+UBSan trust-boundary suites -> TSan concurrency suites ->
+# end-to-end drills -> bench smoke -> bench-diff. Exits nonzero on the first
+# failing stage. Also exposed as the `ci` CMake target
+# (`cmake --build build --target ci`).
 #
 # Environment:
 #   IMAP_CI_BUILD_DIR  build directory (default: build); the sanitizer stage
-#                      builds into <build dir>-san
+#                      builds into <build dir>-san; the TSan stage uses the
+#                      `tsan` preset's tree, build-tsan
 #   IMAP_CI_WERROR     ON/OFF, build with -Werror hardening (default: ON)
 #   IMAP_CI_JOBS       parallel build/test jobs (default: nproc)
 set -u
@@ -59,6 +61,20 @@ LSAN_OPTIONS="suppressions=${SUPP_DIR}/lsan.supp" \
 UBSAN_OPTIONS="print_stacktrace=1:halt_on_error=1:suppressions=${SUPP_DIR}/ubsan.supp" \
   "${SAN_DIR}/tests/imap_tests" \
   --gtest_filter='HttpParse.*:ServerTest.*:SerializeTest.*:SnapshotTest.*:ScenarioSpec.*:ScenarioEnv.*:Channel.*:Fuzz.*:Knn.*:KernelMatrix_*.KnnScan_*' \
+  || exit 1
+
+stage "tsan (ThreadSanitizer over the concurrency suites)"
+# The suites that run code on several threads at once: the thread pool, the
+# 1-vs-4-thread determinism checks, the K-slot trainer (slots collect in
+# parallel, each querying one shared frozen-victim handle through its
+# thread_local one-row workspace), PolicyHandle queried from four threads,
+# and the serving daemon (handler threads, coalescer, model cache). The
+# first race report aborts; tools/sanitizers/tsan.supp stays empty.
+cmake --preset tsan || exit 1
+cmake --build --preset tsan --target imap_tests -j "${JOBS}" || exit 1
+TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1:suppressions=${SUPP_DIR}/tsan.supp" \
+  build-tsan/tests/imap_tests \
+  --gtest_filter='ThreadPool.*:ParallelDeterminism.*:VecEnv.*:EnvSlot.*:PolicyHandle.*:VictimQuant.*:ServerTest.*:CoalescerTest.*:ModelCacheTest.*' \
   || exit 1
 
 stage "checkpoint/resume (cross-process halt -> inspect -> resume)"
@@ -127,25 +143,25 @@ IMAP_BENCH_NO_PROBE=1 "${BUILD_DIR}/bench/bench_micro_infer" \
   IMAP_BENCH_SERVE_ITERS=2 IMAP_BENCH_SERVE_REPS=1 ./bench/bench_serve \
   > /dev/null ) || exit 1
 
-stage "bench-diff (rollout in-run ratio gate vs tracked BENCH_rollout.json)"
-# Regenerate the rollout-collection probe in the build dir (16 one-slot
-# collectors vs one 16-slot engine on the same streams, alternating, min of
-# 15 collects each, bit-identity asserted) and gate it against the tracked
-# baseline: the vectorized/serial ratio falling >15% fails the stage.
-# Absolute steps/s are printed but not gated — they follow this shared
-# machine's phase, which cancels out of the in-run ratio. One warm retry
-# absorbs cold-start noise; a real regression fails both runs.
-run_rollout_probe() {
+stage "bench-diff (int8/fp64 victim-query in-run ratio gate vs tracked BENCH_infer.json)"
+# Regenerate the fp64-vs-int8 victim-serving probe in the build dir (the two
+# paths alternating, min of 7 reps each, at batch 16/32/64) and gate it
+# against the tracked baseline: the ratio's minimum over batch sizes falling
+# >20% fails the stage, and so does an int8 action error beyond the pinned
+# tolerance (within_tolerance). Absolute timings are not gated — they follow
+# this shared machine's phase, which cancels out of the in-run ratio. One
+# warm retry absorbs cold-start noise; a real regression fails both runs.
+run_infer_probe() {
   ( cd "${BUILD_DIR}" &&
-    IMAP_BENCH_ROLLOUT_PROBE_ONLY=1 ./bench/bench_micro_ppo > /dev/null )
+    IMAP_BENCH_PROBE_ONLY=1 ./bench/bench_micro_infer > /dev/null 2>&1 )
 }
-run_rollout_probe || exit 1
-if ! python3 tools/bench_diff.py BENCH_rollout.json \
-       "${BUILD_DIR}/BENCH_rollout.json"; then
-  echo "ci: rollout probe below baseline; retrying once (cold-start noise)"
-  run_rollout_probe || exit 1
-  python3 tools/bench_diff.py BENCH_rollout.json \
-    "${BUILD_DIR}/BENCH_rollout.json" || exit 1
+run_infer_probe || exit 1
+if ! python3 tools/bench_diff.py BENCH_infer.json \
+       "${BUILD_DIR}/BENCH_infer.json"; then
+  echo "ci: victim-query probe below baseline; retrying once (cold-start noise)"
+  run_infer_probe || exit 1
+  python3 tools/bench_diff.py BENCH_infer.json \
+    "${BUILD_DIR}/BENCH_infer.json" || exit 1
 fi
 
 stage "serve (daemon lifecycle: start, concurrent smoke, clean shutdown)"
@@ -189,4 +205,4 @@ SERVE_RC=$?
 [ "${SERVE_RC}" -eq 0 ] || { echo "ci: imap_serve exit ${SERVE_RC}"; exit 1; }
 rm -rf "${SERVE_ZOO}" "${SERVE_LOG}" "${SERVE_LOG}".[1-4]
 
-stage "OK — build, static analysis, tier-1 tests, sanitizers, drills, bench smoke, and serve drill all clean"
+stage "OK — build, static analysis, tier-1 tests, sanitizers (ASan+UBSan, TSan), drills, bench smoke, bench-diff and serve drill all clean"

@@ -14,15 +14,16 @@ import unittest
 HERE = os.path.dirname(os.path.abspath(__file__))
 
 REFERENCE = {
-    "BM_RolloutCollect": {
-        "env": "Hopper",
-        "serial_collect_s": 0.038,
-        "serial_steps_per_s": 50000.0,
-        "vectorized_steps_per_s": 120000.0,
-        "speedup": 2.0,
-        "traces_identical": True,
+    "BM_VictimQueryBatch": {
+        "backend": "avx512",
+        "max_abs_action_err": 0.0002,
+        "within_tolerance": True,
+        "batches": [{"batch": 16, "speedup": 8.0},
+                    {"batch": 64, "speedup": 12.0}],
+        "speedup": 8.0,
     }
 }
+ENTRY = "BM_VictimQueryBatch"
 
 
 def run_diff(reference, candidate, flags=()):
@@ -43,7 +44,7 @@ def run_diff(reference, candidate, flags=()):
 def candidate(**changes):
     """REFERENCE with entry fields replaced (value None deletes the field)."""
     out = copy.deepcopy(REFERENCE)
-    entry = out["BM_RolloutCollect"]
+    entry = out[ENTRY]
     for k, v in changes.items():
         if v is None:
             entry.pop(k, None)
@@ -60,32 +61,38 @@ class BenchDiff(unittest.TestCase):
 
     def test_identical_passes(self):
         out = self.assert_exit(candidate(), 0)
-        self.assertIn("1 ratio metric(s) within 15%", out)
+        self.assertIn("1 ratio metric(s) within 20%", out)
 
     def test_ratio_drop_within_tolerance_passes(self):
-        self.assert_exit(candidate(speedup=1.8), 0)
+        self.assert_exit(candidate(speedup=6.8), 0)
 
     def test_ratio_regression_fails(self):
-        out = self.assert_exit(candidate(speedup=1.6), 1)
-        self.assertIn("FAIL BM_RolloutCollect.speedup", out)
+        # int8 serving lost its edge over fp64: 6.0 is 75% of the reference.
+        out = self.assert_exit(candidate(speedup=6.0), 1)
+        self.assertIn("FAIL BM_VictimQueryBatch.speedup", out)
 
     def test_tolerance_flag_moves_the_floor(self):
-        code, _ = run_diff(REFERENCE, candidate(speedup=1.6),
-                           ["--tolerance", "0.25"])
+        code, _ = run_diff(REFERENCE, candidate(speedup=6.0),
+                           ["--tolerance", "0.3"])
         self.assertEqual(code, 0)
 
+    def test_per_batch_ratios_are_not_gated(self):
+        # Only the entry's own speedup (the minimum over batches) is gated.
+        self.assert_exit(candidate(batches=[{"batch": 16, "speedup": 1.0}]),
+                         0)
+
     def test_absolute_throughput_is_reported_not_gated(self):
-        # A slow machine phase moves both arms; the in-run ratio holds.
-        out = self.assert_exit(candidate(serial_steps_per_s=20000.0,
-                                         vectorized_steps_per_s=48000.0), 0)
-        self.assertIn("info BM_RolloutCollect.vectorized_steps_per_s", out)
+        ref = candidate(serial_steps_per_s=50000.0)
+        out = self.assert_exit(candidate(serial_steps_per_s=20000.0), 0,
+                               reference=ref)
+        self.assertIn("info BM_VictimQueryBatch.serial_steps_per_s", out)
         self.assertIn("not gated", out)
 
-    def test_missing_ratio_and_trace_flag_fail(self):
+    def test_missing_ratio_and_accuracy_flag_fail(self):
         out = self.assert_exit(
-            candidate(speedup=None, traces_identical=None), 1)
+            candidate(speedup=None, within_tolerance=None), 1)
         self.assertIn("speedup: missing or non-numeric", out)
-        self.assertIn("traces_identical is null", out)
+        self.assertIn("within_tolerance is null", out)
 
     def test_non_numeric_ratio_fails(self):
         self.assert_exit(candidate(speedup="fast"), 1)
@@ -95,15 +102,20 @@ class BenchDiff(unittest.TestCase):
         ref = candidate(speedup=None)
         self.assert_exit(candidate(), 1, reference=ref)
 
-    def test_missing_trace_flag_fails(self):
-        self.assert_exit(candidate(traces_identical=None), 1)
+    def test_accuracy_flag_false_fails_even_when_faster(self):
+        out = self.assert_exit(
+            candidate(within_tolerance=False, speedup=20.0), 1)
+        self.assertIn("within_tolerance is false", out)
 
-    def test_false_trace_flag_fails(self):
-        self.assert_exit(candidate(traces_identical=False), 1)
+    def test_flag_only_required_when_reference_has_it(self):
+        ref = candidate(within_tolerance=None)
+        self.assert_exit(candidate(within_tolerance=None), 0, reference=ref)
 
-    def test_trace_flag_only_required_when_reference_has_it(self):
-        ref = candidate(traces_identical=None)
-        self.assert_exit(candidate(traces_identical=None), 0, reference=ref)
+    def test_trace_flag_is_gated_the_same_way(self):
+        ref = candidate(traces_identical=True)
+        self.assert_exit(candidate(traces_identical=True), 0, reference=ref)
+        self.assert_exit(candidate(traces_identical=False), 1, reference=ref)
+        self.assert_exit(candidate(), 1, reference=ref)
 
     def test_no_shared_entries_fails(self):
         self.assert_exit({"BM_Other": {"speedup": 1.0}}, 1)
